@@ -15,7 +15,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "core/matrix_checker.h"
-#include "core/parallel.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
 #include "freq/cube.h"
@@ -333,10 +332,10 @@ BENCHMARK(BM_GroupByScanTraced);
 #endif  // INCOGNITO_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Parallel level-wise search: the same Adults instance at increasing
-// worker counts (Arg = threads). The 1-thread run prices the pool's
-// coordination overhead against the serial search; higher counts show the
-// per-level fan-out's scaling (docs/PARALLELISM.md).
+// The subset-DAG search: the same Adults instance at increasing worker
+// counts (Arg = threads). The 1-thread run is the serial search; higher
+// counts show the DAG's and the apex fan-out's scaling
+// (docs/PARALLELISM.md).
 // ---------------------------------------------------------------------------
 void BM_ParallelLevelSearch(benchmark::State& state) {
   const SyntheticDataset& ds = SharedAdults();
@@ -346,7 +345,7 @@ void BM_ParallelLevelSearch(benchmark::State& state) {
   int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PartialResult<IncognitoResult> r =
-        RunIncognitoParallel(ds.table, qid, config, {}, RunContext::WithThreads(threads));
+        RunIncognito(ds.table, qid, config, {}, RunContext::WithThreads(threads));
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -412,7 +411,7 @@ int main(int argc, char** argv) {
           incognito::obs::MetricsSnapshot::Take();
       incognito::Stopwatch timer;
       incognito::PartialResult<incognito::IncognitoResult> r =
-          incognito::RunIncognitoParallel(
+          incognito::RunIncognito(
               ds.table, qid, config, {},
               incognito::RunContext::WithThreads(threads));
       double seconds = timer.ElapsedSeconds();
@@ -522,8 +521,8 @@ int main(int argc, char** argv) {
         std::remove(ckpt_path.c_str());
         incognito::Stopwatch timer;
         incognito::PartialResult<incognito::IncognitoResult> r =
-            incognito::RunIncognitoParallel(overhead_ds.table, overhead_qid,
-                                            config, {}, ctx);
+            incognito::RunIncognito(overhead_ds.table, overhead_qid, config,
+                                    {}, ctx);
         if (!r.ok()) return 0.0;
         double seconds = timer.ElapsedSeconds();
         if (ctx.checkpoint != nullptr) {

@@ -47,12 +47,13 @@ struct AlgorithmStats {
   int64_t memory_trips = 0;     ///< memory-budget charges refused
   int64_t cancel_trips = 0;     ///< checkpoints that saw cancellation
 
-  /// Worker count of a parallel run (core/parallel.h); 0 for the serial
-  /// path. Merged with max, not sum — it describes the pool, not work.
+  /// Worker count of the run's pool (1 for a serial Incognito run; 0 for
+  /// algorithms without a pool). Merged with max, not sum — it describes
+  /// the pool, not work.
   int64_t parallel_workers = 0;
 
-  // Scheduler telemetry derived from a parallel run's TaskTimeline
-  // (obs/timeline.h); zero on the serial path.
+  // Scheduler telemetry derived from an Incognito run's TaskTimeline
+  // (obs/timeline.h); zero for algorithms without a scheduler.
   int64_t tasks_scheduled = 0;       ///< tasks the scheduler dispatched
   double critical_path_seconds = 0;  ///< longest dependency chain of tasks
   double scheduler_idle_seconds = 0; ///< worker-seconds spent waiting
@@ -64,14 +65,14 @@ struct AlgorithmStats {
   int64_t checkpoint_bytes = 0;           ///< bytes across written snapshots
   int64_t checkpoint_write_failures = 0;  ///< writes that failed (non-fatal)
   int64_t restored_iterations = 0;  ///< subset-size levels skipped on resume
-  int64_t restored_subsets = 0;     ///< pipelined subset tasks skipped on resume
+  int64_t restored_subsets = 0;     ///< subset tasks skipped on resume
 
   // Scan-sharing batch evaluation (FrequencySet::ComputeBatch;
   // docs/PARALLELISM.md). batched_scan_nodes counts nodes whose frequency
   // set came out of a shared scan — with batching on, table_scans counts
   // one scan per (subset, level) batch, so batched_scan_nodes /
   // table_scans is the amortization factor. Deterministic at any thread
-  // count and schedule.
+  // count.
   int64_t batched_scan_nodes = 0;  ///< nodes fed from shared batch scans
   double batch_scan_seconds = 0;   ///< wall clock inside shared batch scans
 
@@ -103,8 +104,7 @@ bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
 /// (released after the check); kDeadlineExceeded / kResourceExhausted /
 /// kCancelled replace the answer when a budget trips. An ungoverned
 /// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool with per-worker shard charges; ctx.scheduling is ignored (a single
-/// check has no lattice to schedule); ctx.substrate picks the group-by
+/// pool with per-worker shard charges; ctx.substrate picks the group-by
 /// engine.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,

@@ -10,9 +10,9 @@
 namespace incognito {
 
 /// One value-typed description of HOW a run should execute — budgets,
-/// threads, scheduling, substrate, checkpointing — independent of WHAT it
-/// runs. This is the single JobSpec/flag → RunContext translation shared by
-/// the CLI (tools/incognito_cli.cpp), the benches, and the service daemon
+/// threads, substrate, checkpointing — independent of WHAT it runs. This
+/// is the single JobSpec/flag → RunContext translation shared by the CLI
+/// (tools/incognito_cli.cpp), the benches, and the service daemon
 /// (src/service/), so the arming rules live in exactly one place.
 ///
 /// A RunContext only borrows the governor and the checkpoint policy, so
@@ -25,9 +25,8 @@ struct ExecProfile {
   int64_t memory_budget_bytes = 0;
   /// Optional caller-owned cancellation token, pollable from any thread.
   const CancelToken* cancel = nullptr;
-  /// Worker threads (0 defers to the algorithm's own option).
+  /// Worker threads (values below 1 mean 1).
   int num_threads = 0;
-  SchedulingMode scheduling = SchedulingMode::kPipelined;
   SubstrateMode substrate = SubstrateMode::kAuto;
   /// Owned checkpoint policy; inert unless a path is set.
   CheckpointPolicy checkpoint;
@@ -45,13 +44,6 @@ struct ExecProfile {
   /// callers making several governed runs arm a fresh governor per run.
   RunContext MakeContext(ExecutionGovernor* governor) const;
 };
-
-/// Parses "pipelined" or "barrier" (the --schedule flag and the JobSpec
-/// "schedule" field). Returns false on anything else.
-bool ParseSchedulingMode(const std::string& text, SchedulingMode* mode);
-
-/// Canonical spelling of a scheduling mode ("pipelined" / "barrier").
-const char* SchedulingModeName(SchedulingMode mode);
 
 }  // namespace incognito
 

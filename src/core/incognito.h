@@ -45,11 +45,6 @@ struct IncognitoOptions {
   /// frequency set (isolates the Rollup Property's contribution).
   bool use_rollup = true;
 
-  /// Worker threads for the level-wise candidate evaluation. 1 (default)
-  /// runs the serial path; > 1 dispatches to RunIncognitoParallel
-  /// (core/parallel.h), which is bit-identical to serial on complete runs.
-  int num_threads = 1;
-
   /// When true (default), all scan-required nodes of a lattice level that
   /// share an attribute subset are fed from ONE pass over the table
   /// (FrequencySet::ComputeBatch; docs/PARALLELISM.md "Scan-sharing batch
@@ -57,13 +52,6 @@ struct IncognitoOptions {
   /// deterministic counter except table_scans are bit-identical either
   /// way; table_scans counts one scan per (subset, level) batch.
   bool batch_scans = true;
-
-  /// Group-by substrate for every frequency-set build of the search
-  /// (DESIGN.md "Group-by substrates"): hash-map probes, columnar radix
-  /// sort, or per-build auto-selection (default). All modes produce
-  /// bit-identical survivors, counters, and MemoryBytes; a non-kAuto
-  /// RunContext::substrate overrides this option.
-  SubstrateMode substrate = SubstrateMode::kAuto;
 };
 
 /// The output of an Incognito run.
@@ -87,41 +75,51 @@ struct IncognitoResult {
 
   AlgorithmStats stats;
 
-  /// Parallel runs only (empty otherwise): each worker shard's high-water
-  /// lease against the shared memory budget, in bytes. Because shard
-  /// leases are monotonic until drain, the sum of these marks never
-  /// exceeds the governor's global memory limit (docs/PARALLELISM.md).
+  /// Each worker shard's high-water lease against the shared memory
+  /// budget, in bytes, indexed by worker id. Because shard leases are
+  /// monotonic until drain, the sum of these marks never exceeds the
+  /// governor's global memory limit (docs/PARALLELISM.md).
   std::vector<int64_t> shard_high_water_bytes;
 
-  /// Parallel runs only (empty otherwise): fraction of the run's makespan
-  /// each worker spent executing tasks, indexed by worker id (worker 0 is
-  /// the calling thread). Derived from the scheduler's TaskTimeline
-  /// (obs/timeline.h); empty when observability is compiled out.
+  /// Fraction of the run's makespan each worker spent executing tasks,
+  /// indexed by worker id (worker 0 is the calling thread). Derived from
+  /// the scheduler's TaskTimeline (obs/timeline.h); empty only when
+  /// observability is compiled out.
   std::vector<double> worker_utilization;
 };
 
 /// Runs Incognito: produces the set of ALL k-anonymous full-domain
 /// generalizations of `table` with respect to `qid` (sound and complete,
 /// paper §3.2), with the optional tuple-suppression threshold from
-/// `config`.
+/// `config`. The QID may have at most 64 attributes (InvalidArgument
+/// otherwise).
+///
+/// The search runs over the subset DAG (docs/PARALLELISM.md): each proper
+/// attribute subset's candidate graph is one task, runnable once all of
+/// its immediate sub-subsets have published non-empty survivors, and the
+/// final size-n graph is searched across the whole worker pool. A serial
+/// run is this DAG with one worker. The answer, the survivor sets, and
+/// the deterministic counters (nodes_checked, nodes_marked, table_scans,
+/// rollups, freq_groups_built, candidate_nodes) are identical at every
+/// thread count.
 ///
 /// `ctx` carries the execution parameters (docs/API.md):
-///   - A default RunContext reproduces the legacy ungoverned call; the
-///     result is complete() and the trip counters stay zero.
+///   - A default RunContext runs ungoverned on one worker with the
+///     kAuto substrate; the result is complete() and the trip counters
+///     stay zero.
+///   - ctx.num_threads sets the worker count; ctx.substrate the group-by
+///     engine of every frequency-set build.
 ///   - ctx.governor non-null polls the governor at every lattice-node
 ///     check and charges frequency-set / cube / hash-tree construction
-///     against its memory budget. When a budget trips mid-search the run
-///     stops cleanly and returns PartialResult::Partial carrying
-///     everything proven so far (completed iterations' survivor sets; see
+///     against its memory budget, each worker through its own
+///     GovernorShard. When a budget trips mid-search the run stops cleanly
+///     and returns PartialResult::Partial carrying everything proven so
+///     far (completed iterations' survivor sets; see
 ///     IncognitoResult::completed_iterations) with status
 ///     kDeadlineExceeded, kResourceExhausted, or kCancelled. Construct a
 ///     fresh governor per call.
-///   - An effective thread count > 1 (ctx.num_threads, or
-///     options.num_threads when ctx leaves it 0) dispatches to
-///     RunIncognitoParallel (core/parallel.h) under ctx.scheduling —
-///     pipelined subset DAG by default — returning the identical answer
-///     set, survivor sets, and node-count statistics, with each worker
-///     charging a GovernorShard leased from ctx.governor.
+///   - ctx.checkpoint records every finished subset and can warm-start
+///     from an earlier run's checkpoint (robust/checkpoint.h).
 PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const QuasiIdentifier& qid,
                                             const AnonymizationConfig& config,

@@ -11,24 +11,10 @@ namespace incognito {
 
 struct CheckpointPolicy;
 
-/// How a multi-threaded lattice search distributes work across the pool.
-enum class SchedulingMode {
-  /// Pipelined subset DAG (docs/PARALLELISM.md "Pipelined subset DAG"):
-  /// each attribute subset's candidate-graph search is a task that becomes
-  /// runnable as soon as all of its immediate sub-subsets have published
-  /// their survivors, so iteration i+1 work starts while slow subsets of
-  /// iteration i are still running. Bit-identical to serial and to
-  /// kBarrier on complete runs.
-  kPipelined,
-  /// Level-synchronous scheduling: the pool evaluates one candidate graph
-  /// at a time with a full barrier between subset-size iterations (the
-  /// pre-RunContext RunIncognitoParallel behavior).
-  kBarrier,
-};
-
 /// Execution parameters shared by every Run* entry point: who governs the
 /// run (deadline / memory budget / cancellation), how many worker threads
-/// it may use, and how those workers are scheduled. Replaces the old
+/// it may use, and which group-by substrate it builds with. Each execution
+/// knob lives here and nowhere else. Replaces the old
 /// governed/ungoverned overload pairs (docs/API.md): a default-constructed
 /// RunContext reproduces the legacy ungoverned call exactly, and
 /// RunContext::Governed(governor) reproduces the legacy governed one.
@@ -41,22 +27,14 @@ struct RunContext {
   /// memory budget, trip counters stay zero.
   ExecutionGovernor* governor = nullptr;
 
-  /// Worker threads. 0 (default) inherits the algorithm's own option where
-  /// one exists (IncognitoOptions::num_threads) and means 1 everywhere
-  /// else; values > 1 run algorithms with a parallel path across a worker
-  /// pool. Single-threaded algorithms ignore the value.
-  int num_threads = 0;
-
-  /// Scheduling of a multi-threaded lattice search. Ignored by
-  /// single-threaded runs; both modes produce bit-identical complete
-  /// results.
-  SchedulingMode scheduling = SchedulingMode::kPipelined;
+  /// Worker threads (default 1; values below 1 mean 1). Values > 1 run
+  /// algorithms with a parallel path across a worker pool.
+  /// Single-threaded algorithms ignore the value.
+  int num_threads = 1;
 
   /// Group-by substrate for every frequency-set build of the run
-  /// (DESIGN.md "Group-by substrates"). kAuto (default) defers to the
-  /// algorithm's own option where one exists (IncognitoOptions::substrate)
-  /// and otherwise lets each build choose by key shape; a non-kAuto value
-  /// here overrides the option. Purely a performance knob — all modes are
+  /// (DESIGN.md "Group-by substrates"). kAuto (default) lets each build
+  /// choose by key shape. Purely a performance knob — all modes are
   /// bit-identical.
   SubstrateMode substrate = SubstrateMode::kAuto;
 
@@ -71,7 +49,7 @@ struct RunContext {
   /// The legacy governed call, as a context: RunContext::Governed(g) ==
   /// old Run*(..., g).
   static RunContext Governed(ExecutionGovernor& governor,
-                             int num_threads = 0) {
+                             int num_threads = 1) {
     RunContext ctx;
     ctx.governor = &governor;
     ctx.num_threads = num_threads;
@@ -140,14 +118,9 @@ struct RunContext {
     return *this;
   }
 
-  /// Sets the worker-thread count (0 defers to the algorithm's option).
+  /// Sets the worker-thread count (values below 1 mean 1).
   RunContext& WithWorkers(int n) {
     num_threads = n;
-    return *this;
-  }
-
-  RunContext& WithScheduling(SchedulingMode mode) {
-    scheduling = mode;
     return *this;
   }
 

@@ -45,12 +45,12 @@ CandidateGraph GenerateNextGraph(const CandidateGraph& survivors,
 
 /// The chain graph of one attribute's generalization hierarchy — the
 /// single-dimension slice of MakeSingleAttributeGraph, used to seed the
-/// per-subset pipeline.
+/// subset DAG.
 CandidateGraph MakeSingleDimensionChain(const QuasiIdentifier& qid,
                                         size_t dim);
 
-/// Per-subset GraphGeneration for the pipelined scheduler
-/// (docs/PARALLELISM.md "Pipelined subset DAG"): builds the candidate
+/// Per-subset GraphGeneration for the Incognito subset-DAG search
+/// (docs/PARALLELISM.md "The subset DAG"): builds the candidate
 /// graph of ONE size-(i+1) attribute subset D from the published survivor
 /// graphs of its immediate sub-subsets. `parents[j]` must be the survivor
 /// graph of D with its j-th attribute (in ascending dimension order)

@@ -11,7 +11,7 @@ namespace incognito {
 namespace obs {
 namespace {
 
-int PopCount(uint32_t v) {
+int PopCount(uint64_t v) {
   int count = 0;
   for (; v != 0; v &= v - 1) ++count;
   return count;
@@ -65,10 +65,10 @@ TimelineStats TaskTimeline::Derive() const {
 
   uint64_t t0 = events[0].start_ns, t1 = events[0].end_ns;
   std::vector<double> busy(static_cast<size_t>(workers), 0.0);
-  // Per-batch slowest chunk (barrier phases) and per-mask duration (the
-  // pipelined subset DAG) for the critical-path estimate.
+  // Per-batch slowest chunk (pool Run() phases) and per-mask duration
+  // (the subset DAG) for the critical-path estimate.
   std::map<int64_t, double> batch_max;
-  std::map<uint32_t, double> dag_dur;
+  std::map<uint64_t, double> dag_dur;
   for (const TaskEvent& e : events) {
     uint64_t begin = e.enqueue_ns != 0 && e.enqueue_ns < e.start_ns
                          ? e.enqueue_ns
@@ -98,7 +98,7 @@ TimelineStats TaskTimeline::Derive() const {
   stats.scheduler_idle_seconds =
       std::max(0.0, workers * stats.makespan_seconds - total_busy);
 
-  // Barrier batches run in sequence: each contributes its slowest chunk.
+  // Pool batches run in sequence: each contributes its slowest chunk.
   double critical = 0;
   for (const auto& [batch, dur] : batch_max) {
     (void)batch;
@@ -106,19 +106,19 @@ TimelineStats TaskTimeline::Derive() const {
   }
   // Subset-DAG tasks: mask m depends on every sub-mask one bit smaller,
   // so the longest path is a max-plus sweep in popcount order.
-  std::vector<std::pair<uint32_t, double>> masks(dag_dur.begin(),
+  std::vector<std::pair<uint64_t, double>> masks(dag_dur.begin(),
                                                 dag_dur.end());
   std::sort(masks.begin(), masks.end(),
             [](const auto& a, const auto& b) {
               int pa = PopCount(a.first), pb = PopCount(b.first);
               return pa != pb ? pa < pb : a.first < b.first;
             });
-  std::map<uint32_t, double> longest;
+  std::map<uint64_t, double> longest;
   double dag_critical = 0;
   for (const auto& [mask, dur] : masks) {
     double best = 0;
-    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-      uint32_t sub = mask & ~(bits & ~(bits - 1));
+    for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+      uint64_t sub = mask & ~(bits & ~(bits - 1));
       auto it = longest.find(sub);
       if (it != longest.end()) best = std::max(best, it->second);
     }
@@ -150,7 +150,8 @@ void TaskTimeline::ExportTo(TraceRecorder& recorder) const {
         "\"task\":%lld,\"queue_wait_us\":%.3f",
         static_cast<long long>(e.id), wait_us);
     if (e.batch < 0) {
-      args += StringPrintf(",\"mask\":%u", e.mask);
+      args += StringPrintf(",\"mask\":%llu",
+                           static_cast<unsigned long long>(e.mask));
     } else {
       args += StringPrintf(",\"batch\":%lld", static_cast<long long>(e.batch));
     }

@@ -12,13 +12,13 @@ namespace obs {
 class TraceRecorder;
 
 /// One scheduled unit of work as seen by a TaskTimeline: a subset-DAG
-/// task in the pipelined scheduler, or one worker's chunk of a barrier
+/// task of the Incognito search, or one worker's chunk of a
 /// WorkerPool::Run. Timestamps are absolute TraceRecorder::NowNs values.
 struct TaskEvent {
   int64_t id = 0;           ///< dense per-timeline task id
-  uint32_t mask = 0;        ///< subset mask for DAG tasks, 0 otherwise
+  uint64_t mask = 0;        ///< subset mask for DAG tasks, 0 otherwise
   int worker = 0;           ///< worker that executed the task (0 = caller)
-  int64_t batch = -1;       ///< pool Run() generation for barrier chunks;
+  int64_t batch = -1;       ///< pool Run() generation for pool chunks;
                             ///< -1 for DAG tasks (deps come from `mask`)
   uint64_t enqueue_ns = 0;  ///< when the task became ready to run
   uint64_t start_ns = 0;
@@ -31,7 +31,7 @@ struct TimelineStats {
   /// Per-worker busy fraction of the timeline's makespan, indexed by
   /// worker id.
   std::vector<double> worker_utilization;
-  /// The longest dependency-respecting chain of task durations: barrier
+  /// The longest dependency-respecting chain of task durations: pool
   /// batches contribute their slowest chunk, the subset DAG its longest
   /// root-to-apex path. A lower bound on the run's serial time.
   double critical_path_seconds = 0;
@@ -42,7 +42,7 @@ struct TimelineStats {
 };
 
 /// Records per-task scheduling events (enqueue/start/end, worker, subset
-/// mask) from the WorkerPool and the pipelined subset-DAG scheduler.
+/// mask) from the WorkerPool and the subset-DAG scheduler.
 /// Thread-safe; Record also feeds the `task.run_seconds` and
 /// `task.queue_wait_seconds` latency histograms. One timeline instance
 /// covers one run — construct fresh per RunIncognito* call.

@@ -46,7 +46,7 @@ struct SpanRollup {
 /// separate tracks.
 ///
 /// The event buffer is bounded (SetCapacity; default 262144 events) so a
-/// long pipelined run cannot grow it without limit — events past the cap
+/// long multi-worker run cannot grow it without limit — events past the cap
 /// are counted in dropped_events() and reported in the trace footer.
 class TraceRecorder {
  public:

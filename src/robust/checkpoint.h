@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -24,12 +23,11 @@ struct IncognitoOptions;
 ///
 /// The search is monotone at subset granularity: once a subset's candidate
 /// graph has been fully evaluated its surviving nodes are final, and the
-/// Rollup Property (paper §3.3) lets every larger subset warm-start from
-/// them. A checkpoint is therefore just the set of finished units —
-/// per-iteration survivor sets for the serial/barrier loops, per-subset
-/// (bitmask) survivor sets for the pipelined DAG — plus the counter deltas
-/// each unit contributed, so a resumed run reports totals bit-identical to
-/// an uninterrupted one.
+/// Subset Property (paper §3) lets every larger subset warm-start from
+/// them. A checkpoint is therefore just the set of finished subsets — one
+/// survivor set per attribute-subset bitmask — plus the counter deltas
+/// each subset contributed, so a resumed run reports totals bit-identical
+/// to an uninterrupted one.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `len` bytes.
 uint32_t Crc32(const void* data, size_t len);
@@ -58,8 +56,9 @@ struct CheckpointPolicy {
 };
 
 /// Identifies the run a checkpoint belongs to. Everything that changes the
-/// search outcome participates; thread count and scheduling mode do NOT
-/// (all modes are bit-identical, so checkpoints are portable across them).
+/// search outcome participates; thread count and substrate do NOT (every
+/// thread count and substrate is bit-identical, so checkpoints are portable
+/// across them).
 struct CheckpointFingerprint {
   int64_t k = 0;
   int64_t max_suppressed = 0;
@@ -101,16 +100,11 @@ struct CheckpointCounters {
   CheckpointCounters& operator-=(const CheckpointCounters& o);
 };
 
-/// One finished unit of search progress.
+/// One finished attribute subset of the search.
 struct CheckpointRecord {
-  enum class Kind {
-    kIteration,  ///< key = subset size i; survivors merged over all
-                 ///< i-attribute subsets (serial / barrier writer)
-    kMask,       ///< key = attribute-dimension bitmask (pipelined writer);
-                 ///< the full mask is the apex (final) search
-  };
-  Kind kind = Kind::kIteration;
-  uint32_t key = 0;
+  /// Attribute-dimension bitmask (bit d = QID attribute d); the full mask
+  /// is the apex (final) search.
+  uint64_t mask = 0;
   std::vector<SubsetNode> survivors;  ///< sorted ascending (SubsetNode <)
   CheckpointCounters counters;
 };
@@ -122,14 +116,15 @@ struct CheckpointSnapshot {
 
 /// On-disk text format, versioned and CRC-checksummed:
 ///
-///   incognito-checkpoint 1
+///   incognito-checkpoint 2
 ///   crc <8 lowercase hex digits>
 ///   fingerprint k=... sup=... rows=... heights=h0,h1,... variant=...
 ///     transitive=0|1 rollup=0|1                     (one line)
-///   iter <i> survivors=<nodes> counters=<6 ints>
-///   mask <m> survivors=<nodes> counters=<6 ints>
+///   mask <m> survivors=<nodes> counters=<6 ints>    (one per subset)
 ///   end
 ///
+/// <m> is the subset's bitmask in decimal (below 2^n for an n-attribute
+/// QID, n <= 64), each mask at most once.
 /// <nodes> is `;`-separated `dims@levels` with `.`-separated ints, or `-`
 /// for an empty set. The CRC covers every byte after the crc line.
 std::string SerializeCheckpoint(const CheckpointSnapshot& snapshot);
@@ -149,21 +144,7 @@ Status WriteCheckpoint(const std::string& path,
 /// FailedPrecondition (exit code 3). No retry at this layer.
 Result<CheckpointSnapshot> LoadCheckpoint(const std::string& path);
 
-/// Per-subset-size view over a snapshot, for the serial/barrier resume
-/// path and for cross-mode conversion.
-struct CheckpointLevel {
-  bool complete = false;              ///< every subset of this size is covered
-  std::vector<SubsetNode> survivors;  ///< merged, sorted
-  CheckpointCounters counters;        ///< summed over the level's units
-};
-
-/// Folds a snapshot into per-size levels for an `n`-attribute QID (index
-/// 1..n; index 0 unused). A level is complete when an iteration record
-/// exists for it or when mask records cover all C(n,s) subsets of size s.
-std::vector<CheckpointLevel> LevelsFromSnapshot(
-    const CheckpointSnapshot& snapshot, int n);
-
-/// Accumulates finished units and writes policy-gated snapshots.
+/// Accumulates finished subsets and writes policy-gated snapshots.
 /// Internally synchronized; safe to call from pipeline workers (call it
 /// OUTSIDE the scheduler lock — writes do file I/O).
 class CheckpointManager {
@@ -175,9 +156,7 @@ class CheckpointManager {
   /// checkpoints carry the full history.
   void Seed(const CheckpointSnapshot& restored);
 
-  void AddIteration(uint32_t iteration, std::vector<SubsetNode> survivors,
-                    const CheckpointCounters& delta);
-  void AddMask(uint32_t mask, std::vector<SubsetNode> survivors,
+  void AddMask(uint64_t mask, std::vector<SubsetNode> survivors,
                const CheckpointCounters& delta);
 
   /// Policy-gated periodic write (interval_ms); returns true when a write
@@ -199,7 +178,7 @@ class CheckpointManager {
   const CheckpointPolicy policy_;
   const CheckpointFingerprint fingerprint_;
   mutable std::mutex mu_;
-  std::map<std::pair<int, uint32_t>, CheckpointRecord> records_;
+  std::map<uint64_t, CheckpointRecord> records_;
   bool dirty_ = false;
   int64_t last_write_ns_ = -1;
   int64_t writes_ = 0;

@@ -144,8 +144,6 @@ std::string JobSpecToJson(const JobSpec& spec) {
   out += ",\"memory_budget_bytes\":" +
          std::to_string(spec.exec.memory_budget_bytes);
   out += ",\"threads\":" + std::to_string(spec.exec.num_threads);
-  out += ",\"schedule\":" +
-         JsonString(SchedulingModeName(spec.exec.scheduling));
   out += ",\"substrate\":" +
          JsonString(SubstrateModeName(spec.exec.substrate));
   out += ",\"checkpoint\":" + JsonString(spec.exec.checkpoint.path);
@@ -210,12 +208,6 @@ Result<JobSpec> JobSpecFromJson(const JsonValue& value) {
       spec.exec.memory_budget_bytes = Int64Field(v);
     } else if (key == "threads") {
       spec.exec.num_threads = static_cast<int>(Int64Field(v));
-    } else if (key == "schedule") {
-      if (!ParseSchedulingMode(v.StringOr(""), &spec.exec.scheduling)) {
-        return Status::InvalidArgument(
-            "bad \"schedule\" value '" + v.StringOr("") +
-            "' (want pipelined or barrier)");
-      }
     } else if (key == "substrate") {
       if (!ParseSubstrateMode(v.StringOr(""), &spec.exec.substrate)) {
         return Status::InvalidArgument(

@@ -1,10 +1,10 @@
-// Differential tests for the parallel level-wise lattice search
-// (src/core/parallel.h): the worker pool, the GovernorShard lease
-// protocol, and — the core guarantee — bit-identical results between the
-// serial and parallel searches at every thread count, plus the sound
-// partial-result contract when a budget trips mid-search.
-
-#include "core/parallel.h"
+// Tests for the parallel machinery of the Incognito search
+// (src/core/incognito.cc): the worker pool, the GovernorShard lease
+// protocol, the parallel frequency-set scan and cube build, the ablation
+// switches across thread counts, and the sound partial-result contract
+// when a budget trips mid-search. The thread-count x variant x substrate
+// x batching x governance x resume matrix lives in
+// execution_matrix_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "core/checker.h"
 #include "core/incognito.h"
+#include "core/worker_pool.h"
 #include "data/adults.h"
 #include "data/patients.h"
 #include "freq/cube.h"
@@ -164,7 +165,7 @@ TEST(GovernorShardTest, ChecksObserveParentDeadlineAndCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: parallel == serial, bit for bit
+// Ablation switches: every thread count == one worker, bit for bit
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
@@ -174,9 +175,9 @@ std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
   return out;
 }
 
-/// Asserts the parallel result is indistinguishable from the serial one:
-/// same answer set (in the same order), same survivor sets per iteration,
-/// and the same node-count statistics. governor_checks and the trip
+/// Asserts a multi-worker result is indistinguishable from the one-worker
+/// one: same answer set (in the same order), same survivor sets per
+/// iteration, and the same node-count statistics. governor_checks and the trip
 /// counters are excluded — checkpoint cadence is per-worker by design.
 void ExpectBitIdentical(const IncognitoResult& serial,
                         const IncognitoResult& parallel) {
@@ -197,54 +198,6 @@ void ExpectBitIdentical(const IncognitoResult& serial,
   EXPECT_EQ(serial.stats.candidate_nodes, parallel.stats.candidate_nodes);
 }
 
-TEST(ParallelIncognitoTest, AdultsSweepMatchesSerialAtEveryThreadCount) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  AnonymizationConfig config;
-  config.k = 5;
-  for (size_t prefix = 1; prefix <= 3; ++prefix) {
-    QuasiIdentifier qid = data->qid.Prefix(prefix);
-    PartialResult<IncognitoResult> serial = RunIncognito(data->table, qid, config);
-    ASSERT_TRUE(serial.ok());
-    for (int threads : {1, 2, 4, 8}) {
-      PartialResult<IncognitoResult> parallel =
-          RunIncognitoParallel(data->table, qid, config, {}, RunContext::WithThreads(threads));
-      ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-      ExpectBitIdentical(*serial, *parallel);
-      if (threads > 1) {
-        EXPECT_EQ(parallel->stats.parallel_workers, threads);
-        EXPECT_EQ(parallel->shard_high_water_bytes.size(),
-                  static_cast<size_t>(threads));
-      }
-    }
-  }
-}
-
-TEST(ParallelIncognitoTest, EveryVariantMatchesSerialOnRandomDatasets) {
-  for (uint64_t seed : {3u, 17u, 101u}) {
-    Rng rng(seed);
-    RandomDataset data = MakeRandomDataset(rng);
-    AnonymizationConfig config;
-    config.k = 2 + static_cast<int64_t>(seed % 3);
-    for (IncognitoVariant variant :
-         {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
-          IncognitoVariant::kCube}) {
-      IncognitoOptions options;
-      options.variant = variant;
-      PartialResult<IncognitoResult> serial =
-          RunIncognito(data.table, data.qid, config, options);
-      ASSERT_TRUE(serial.ok());
-      PartialResult<IncognitoResult> parallel =
-          RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(4));
-      ASSERT_TRUE(parallel.ok())
-          << "seed=" << seed << " variant=" << IncognitoVariantName(variant);
-      ExpectBitIdentical(*serial, *parallel);
-    }
-  }
-}
-
 TEST(ParallelIncognitoTest, RollupAblationStaysBitIdentical) {
   Rng rng(5);
   RandomDataset data = MakeRandomDataset(rng);
@@ -256,7 +209,7 @@ TEST(ParallelIncognitoTest, RollupAblationStaysBitIdentical) {
       RunIncognito(data.table, data.qid, config, options);
   ASSERT_TRUE(serial.ok());
   PartialResult<IncognitoResult> parallel =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(3));
+      RunIncognito(data.table, data.qid, config, options, RunContext::WithThreads(3));
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel);
   EXPECT_EQ(parallel->stats.rollups, 0);
@@ -273,47 +226,9 @@ TEST(ParallelIncognitoTest, NonTransitiveMarkingStaysBitIdentical) {
       RunIncognito(data.table, data.qid, config, options);
   ASSERT_TRUE(serial.ok());
   PartialResult<IncognitoResult> parallel =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::WithThreads(4));
+      RunIncognito(data.table, data.qid, config, options, RunContext::WithThreads(4));
   ASSERT_TRUE(parallel.ok());
   ExpectBitIdentical(*serial, *parallel);
-}
-
-TEST(ParallelIncognitoTest, OptionsNumThreadsDispatchesFromRunIncognito) {
-  Rng rng(41);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 2;
-  PartialResult<IncognitoResult> serial = RunIncognito(data.table, data.qid, config);
-  ASSERT_TRUE(serial.ok());
-  IncognitoOptions options;
-  options.num_threads = 4;
-  PartialResult<IncognitoResult> dispatched =
-      RunIncognito(data.table, data.qid, config, options);
-  ASSERT_TRUE(dispatched.ok());
-  ExpectBitIdentical(*serial, *dispatched);
-  EXPECT_EQ(dispatched->stats.parallel_workers, 4);
-}
-
-TEST(ParallelIncognitoTest, GovernedGenerousBudgetMatchesSerial) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AnonymizationConfig config;
-  config.k = 5;
-  PartialResult<IncognitoResult> serial = RunIncognito(data->table, qid, config);
-  ASSERT_TRUE(serial.ok());
-
-  ExecutionGovernor governor;
-  governor.SetDeadline(Deadline::AfterMillis(5 * 60 * 1000));
-  governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, {}, RunContext::Governed(governor, 4));
-  ASSERT_TRUE(governed.complete()) << governed.status().ToString();
-  ExpectBitIdentical(*serial, governed.value());
-  EXPECT_EQ(governor.memory().used(), 0);
-  EXPECT_GT(governed->stats.governor_checks, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +243,7 @@ TEST(ParallelIncognitoTest, DeadlineZeroReturnsEmptyValidPartial) {
   ExecutionGovernor governor;
   governor.SetDeadline(Deadline::AfterMillis(0));
   PartialResult<IncognitoResult> run =
-      RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+      RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
   ASSERT_TRUE(run.partial());
   EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(run->anonymous_nodes.empty());
@@ -347,7 +262,7 @@ TEST(ParallelIncognitoTest, PreCancelledTokenTripsCleanly) {
   ExecutionGovernor governor;
   governor.SetCancelToken(&token);
   PartialResult<IncognitoResult> run =
-      RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+      RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
   ASSERT_TRUE(run.partial());
   EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
   EXPECT_GE(run->stats.cancel_trips, 1);
@@ -375,7 +290,7 @@ TEST(ParallelIncognitoTest, MidSearchCancelFromSecondThreadDrainsCleanly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     token.Cancel();
   });
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
+  PartialResult<IncognitoResult> run = RunIncognito(
       data.table, data.qid, config, options, RunContext::Governed(governor, 4));
   canceller.join();
   if (run.partial()) {
@@ -405,7 +320,7 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(limit);
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << run.status().ToString();
     // Sum of per-shard high-water leases never exceeds the global limit —
     // leases are charged to the shared budget before they count.
@@ -552,30 +467,6 @@ TEST(ComputeParallelTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
   EXPECT_EQ(governor.ChargeMemory(0).code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ParallelIncognitoTest, CubeVariantMatchesSerialAtEveryThreadCount) {
-  // End-to-end: the cube variant's parallel search builds the cube with
-  // BuildParallel; results and work counters must match the serial search
-  // at every thread count.
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AnonymizationConfig config;
-  config.k = 5;
-  IncognitoOptions options;
-  options.variant = IncognitoVariant::kCube;
-  PartialResult<IncognitoResult> serial =
-      RunIncognito(data->table, qid, config, options);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {1, 2, 4, 8}) {
-    PartialResult<IncognitoResult> parallel =
-        RunIncognitoParallel(data->table, qid, config, options, RunContext::WithThreads(threads));
-    ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    ExpectBitIdentical(*serial, *parallel);
-  }
-}
-
 TEST(ParallelIncognitoTest, GovernedCubeVariantDrainsEveryShardToZero) {
   AdultsOptions adults;
   adults.num_rows = 300;
@@ -592,33 +483,12 @@ TEST(ParallelIncognitoTest, GovernedCubeVariantDrainsEveryShardToZero) {
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
   PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, options, RunContext::Governed(governor, 4));
+      RunIncognito(data->table, qid, config, options, RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.complete()) << governed.status().ToString();
   ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governed->stats.parallel_workers, 4);
   // Acceptance: every shard — search workers, scan chunks, cube
   // projections — drained back to the shared budget.
-  EXPECT_EQ(governor.memory().used(), 0);
-}
-
-TEST(ParallelIncognitoTest, GovernedSuperRootsVariantMatchesSerial) {
-  // The super-roots family scans route through the governed parallel
-  // frequency-set scan; the answer must not change.
-  Rng rng(59);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 3;
-  IncognitoOptions options;
-  options.variant = IncognitoVariant::kSuperRoots;
-  PartialResult<IncognitoResult> serial =
-      RunIncognito(data.table, data.qid, config, options);
-  ASSERT_TRUE(serial.ok());
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
-  ASSERT_TRUE(governed.complete()) << governed.status().ToString();
-  ExpectBitIdentical(*serial, governed.value());
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
@@ -640,7 +510,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelSearch) {
     ExecutionGovernor governor;
     governor.SetDeadline(Deadline::AfterMillis(60 * 1000));
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
     // Injected failures surface as clean partials (latched like a refused
     // charge) — never a crash, never leaked charges.
     if (run.partial()) {
@@ -724,7 +594,7 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
     FaultInjector::Global().ScriptFailNthHit(site, 1);
     ExecutionGovernor governor;
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
     EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1) << site;
     ASSERT_TRUE(run.partial()) << site;
     EXPECT_TRUE(IsResourceGovernance(run.status().code()))
@@ -732,127 +602,6 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
     EXPECT_EQ(governor.memory().used(), 0) << site;
   }
   FaultInjector::Global().Reset();
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined subset-DAG scheduler (SchedulingMode::kPipelined)
-// ---------------------------------------------------------------------------
-
-/// Runs serial / kBarrier / kPipelined on one instance and asserts all
-/// three are bit-identical at every thread count.
-void ExpectSchedulesMatchSerial(const Table& table, const QuasiIdentifier& qid,
-                                const AnonymizationConfig& config,
-                                const IncognitoOptions& options = {}) {
-  PartialResult<IncognitoResult> serial =
-      RunIncognito(table, qid, config, options);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {1, 2, 4, 8}) {
-    RunContext pipelined = RunContext::WithThreads(threads);
-    ASSERT_EQ(pipelined.scheduling, SchedulingMode::kPipelined);
-    RunContext barrier = RunContext::WithThreads(threads);
-    barrier.scheduling = SchedulingMode::kBarrier;
-    PartialResult<IncognitoResult> p =
-        RunIncognitoParallel(table, qid, config, options, pipelined);
-    ASSERT_TRUE(p.ok()) << "pipelined threads=" << threads;
-    ExpectBitIdentical(*serial, *p);
-    PartialResult<IncognitoResult> b =
-        RunIncognitoParallel(table, qid, config, options, barrier);
-    ASSERT_TRUE(b.ok()) << "barrier threads=" << threads;
-    ExpectBitIdentical(*serial, *b);
-  }
-}
-
-TEST(PipelinedScheduleTest, AdultsPrefixesMatchSerialUnderBothSchedules) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  AnonymizationConfig config;
-  config.k = 5;
-  for (size_t prefix = 1; prefix <= 3; ++prefix) {
-    ExpectSchedulesMatchSerial(data->table, data->qid.Prefix(prefix), config);
-  }
-}
-
-TEST(PipelinedScheduleTest, RandomDatasetsMatchSerialUnderBothSchedules) {
-  for (uint64_t seed : {3u, 17u, 101u}) {
-    Rng rng(seed);
-    RandomDataset data = MakeRandomDataset(rng);
-    AnonymizationConfig config;
-    config.k = 2 + static_cast<int64_t>(seed % 3);
-    ExpectSchedulesMatchSerial(data.table, data.qid, config);
-  }
-}
-
-TEST(PipelinedScheduleTest, EveryVariantAndAblationMatchesUnderBothSchedules) {
-  Rng rng(23);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 3;
-  for (IncognitoVariant variant :
-       {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
-        IncognitoVariant::kCube}) {
-    IncognitoOptions options;
-    options.variant = variant;
-    ExpectSchedulesMatchSerial(data.table, data.qid, config, options);
-  }
-  IncognitoOptions no_rollup;
-  no_rollup.use_rollup = false;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config, no_rollup);
-  IncognitoOptions direct_marking;
-  direct_marking.mark_transitively = false;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config, direct_marking);
-}
-
-TEST(PipelinedScheduleTest, WideFallbackKeysMatchSerialUnderBothSchedules) {
-  // The vector-key fallback path (domains beyond the 64-bit packed keys)
-  // must pipeline identically.
-  RandomDataset data = testing_util::MakeWideFallbackDataset(120);
-  AnonymizationConfig config;
-  config.k = 2;
-  ExpectSchedulesMatchSerial(data.table, data.qid, config);
-}
-
-TEST(PipelinedScheduleTest, GovernedPipelinedDrainsShardsToZero) {
-  AdultsOptions adults;
-  adults.num_rows = 300;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AnonymizationConfig config;
-  config.k = 5;
-  PartialResult<IncognitoResult> serial = RunIncognito(data->table, qid, config);
-  ASSERT_TRUE(serial.ok());
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  RunContext ctx = RunContext::Governed(governor, 4);
-  ASSERT_EQ(ctx.scheduling, SchedulingMode::kPipelined);
-  PartialResult<IncognitoResult> governed =
-      RunIncognitoParallel(data->table, qid, config, {}, ctx);
-  ASSERT_TRUE(governed.complete()) << governed.status().ToString();
-  ExpectBitIdentical(*serial, governed.value());
-  // Acceptance: every worker shard leased from the shared budget drained
-  // back to zero after the pipelined run.
-  EXPECT_EQ(governor.memory().used(), 0);
-}
-
-TEST(PipelinedScheduleTest, DeadlineZeroPipelinedYieldsValidEmptyPartial) {
-  Rng rng(47);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 2;
-  ExecutionGovernor governor;
-  governor.SetDeadline(Deadline::AfterMillis(0));
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
-      data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
-  ASSERT_TRUE(run.partial()) << run.status().ToString();
-  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
-  // The partial contract holds under pipelining: exactly
-  // completed_iterations survivor sets, no claimed S_n.
-  EXPECT_EQ(run->per_iteration_survivors.size(),
-            static_cast<size_t>(run->completed_iterations));
-  EXPECT_TRUE(run->anonymous_nodes.empty());
-  EXPECT_EQ(governor.memory().used(), 0);
 }
 
 TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
@@ -869,7 +618,7 @@ TEST(ParallelFaultTest, SubsetScheduleFaultSurfacesAsCleanPartial) {
   FaultInjector::Global().Reset();
   FaultInjector::Global().ScriptFailNthHit("incognito.subset.schedule", 1);
   ExecutionGovernor governor;
-  PartialResult<IncognitoResult> run = RunIncognitoParallel(
+  PartialResult<IncognitoResult> run = RunIncognito(
       data.table, data.qid, config, {}, RunContext::Governed(governor, 4));
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   ASSERT_TRUE(run.partial()) << run.status().ToString();
@@ -899,7 +648,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelCubeSearch) {
     ExecutionGovernor governor;
     governor.SetDeadline(Deadline::AfterMillis(60 * 1000));
     PartialResult<IncognitoResult> run =
-        RunIncognitoParallel(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
+        RunIncognito(data.table, data.qid, config, options, RunContext::Governed(governor, 4));
     if (run.partial()) {
       EXPECT_TRUE(IsResourceGovernance(run.status().code()))
           << run.status().ToString();

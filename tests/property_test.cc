@@ -8,7 +8,6 @@
 #include "core/bottom_up.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "core/recoder.h"
 #include "freq/frequency_set.h"
 #include "lattice/lattice.h"
@@ -40,15 +39,7 @@ class SeededPropertyTest : public ::testing::TestWithParam<uint64_t> {
 
   /// Brute-force set of k-anonymous full-domain generalizations.
   std::set<std::string> Oracle(const AnonymizationConfig& config) {
-    GeneralizationLattice lattice(dataset_.qid.MaxLevels());
-    std::set<std::string> out;
-    for (const LevelVector& v : lattice.AllNodesByHeight()) {
-      SubsetNode node = SubsetNode::Full(v);
-      if (IsKAnonymous(dataset_.table, dataset_.qid, node, config)) {
-        out.insert(node.ToString());
-      }
-    }
-    return out;
+    return testing_util::Oracle(dataset_.table, dataset_.qid, config);
   }
 
   RandomDataset dataset_;
@@ -147,7 +138,7 @@ TEST_P(SeededPropertyTest, IncognitoSoundAndComplete) {
 TEST_P(SeededPropertyTest, ParallelIncognitoMatchesOracle) {
   std::set<std::string> oracle = Oracle(config_);
   int threads = 2 + static_cast<int>(GetParam() % 3);  // 2..4 workers
-  PartialResult<IncognitoResult> r = RunIncognitoParallel(
+  PartialResult<IncognitoResult> r = RunIncognito(
       dataset_.table, dataset_.qid, config_, IncognitoOptions{}, RunContext::WithThreads(threads));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(NodeSet(r->anonymous_nodes), oracle) << "threads=" << threads;
@@ -177,7 +168,7 @@ TEST_P(SeededPropertyTest, ParallelGovernorAlwaysDrainsToZero) {
     governor.SetDeadline(s.deadline);
     if (s.memory_limit > 0) governor.SetMemoryLimitBytes(s.memory_limit);
     governor.SetCancelToken(s.token);
-    PartialResult<IncognitoResult> run = RunIncognitoParallel(
+    PartialResult<IncognitoResult> run = RunIncognito(
         dataset_.table, dataset_.qid, config_, IncognitoOptions{}, RunContext::Governed(governor, 4));
     ASSERT_FALSE(run.hard_error()) << s.name << ": " << run.status().ToString();
     EXPECT_EQ(governor.memory().used(), 0) << s.name;

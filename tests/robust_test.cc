@@ -22,7 +22,6 @@
 #include "core/bottom_up.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "data/adults.h"
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
@@ -646,24 +645,13 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     }
     {
       // The governed parallel cube search reaches the intra-node sites:
-      // the parallel root scan (freq.scan.chunk) and the DAG-scheduled
-      // projections (cube.project). Pipelined scheduling (the default)
-      // additionally reaches the subset-DAG dispatch site
+      // the parallel root scan (freq.scan.chunk), the DAG-scheduled
+      // projections (cube.project), and the subset-DAG dispatch site
       // (incognito.subset.schedule).
       ExecutionGovernor g;
-      outcomes->push_back(RunIncognitoParallel(search.table, search.qid,
-                                               search_config, cube_opts,
-                                               RunContext::Governed(g, 4))
-                              .status());
-    }
-    {
-      // The barrier schedule stays covered too.
-      ExecutionGovernor g;
-      RunContext barrier = RunContext::Governed(g, 4);
-      barrier.scheduling = SchedulingMode::kBarrier;
-      outcomes->push_back(RunIncognitoParallel(search.table, search.qid,
-                                               search_config, cube_opts,
-                                               barrier)
+      outcomes->push_back(RunIncognito(search.table, search.qid,
+                                       search_config, cube_opts,
+                                       RunContext::Governed(g, 4))
                               .status());
     }
   };
@@ -707,8 +695,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
       snap.fingerprint.rows = 1;
       snap.fingerprint.heights = {1};
       CheckpointRecord rec;
-      rec.kind = CheckpointRecord::Kind::kIteration;
-      rec.key = 1;
+      rec.mask = 1;
       SubsetNode node;
       node.dims = {0};
       node.levels = {0};

@@ -106,7 +106,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   spec.exec.deadline_ms = 1500;
   spec.exec.memory_budget_bytes = 4 << 20;
   spec.exec.num_threads = 2;
-  spec.exec.scheduling = SchedulingMode::kBarrier;
   spec.exec.substrate = SubstrateMode::kRadix;
   spec.exec.checkpoint.path = "/tmp/ck";
   spec.exec.checkpoint.interval_ms = 25;
@@ -132,7 +131,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(round->exec.deadline_ms, 1500);
   EXPECT_EQ(round->exec.memory_budget_bytes, 4 << 20);
   EXPECT_EQ(round->exec.num_threads, 2);
-  EXPECT_EQ(round->exec.scheduling, SchedulingMode::kBarrier);
   EXPECT_EQ(round->exec.substrate, SubstrateMode::kRadix);
   EXPECT_EQ(round->exec.checkpoint.path, "/tmp/ck");
   EXPECT_EQ(round->exec.checkpoint.interval_ms, 25);
@@ -151,6 +149,20 @@ TEST(JobSpecJsonTest, UnknownKeysAreRejected) {
   Result<JobSpec> spec = JobSpecFromJson(parsed);
   EXPECT_FALSE(spec.ok());
   EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JobSpecJsonTest, RemovedScheduleKeyIsRejectedLikeAnyUnknownKey) {
+  // "schedule" selected between two schedulers that no longer exist; a
+  // spec that still carries it is rejected, not silently accepted.
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(
+      "{\"input\":\"x.csv\",\"qid\":[\"A\"],\"schedule\":\"barrier\"}",
+      &parsed, &error));
+  Result<JobSpec> spec = JobSpecFromJson(parsed);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(spec.status().message(), "unknown job spec key \"schedule\"");
 }
 
 // ---------------------------------------------------------------------------

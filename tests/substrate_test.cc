@@ -24,7 +24,6 @@
 #include "common/random.h"
 #include "core/checker.h"
 #include "core/incognito.h"
-#include "core/parallel.h"
 #include "core/run_context.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
@@ -667,82 +666,6 @@ void ExpectSameSearch(const IncognitoResult& expected,
       << context;
 }
 
-TEST(SubstrateSearchTest, EveryVariantThreadCountAndScheduleIsBitIdentical) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;  // above kAutoMinRadixRows: kAuto engages radix
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AnonymizationConfig config;
-  config.k = 25;
-  for (IncognitoVariant variant :
-       {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
-        IncognitoVariant::kCube}) {
-    IncognitoOptions hash_options;
-    hash_options.variant = variant;
-    hash_options.substrate = SubstrateMode::kHash;
-    PartialResult<IncognitoResult> baseline =
-        RunIncognito(data->table, qid, config, hash_options);
-    ASSERT_TRUE(baseline.ok());
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      IncognitoOptions options;
-      options.variant = variant;
-      options.substrate = mode;
-      // Serial.
-      PartialResult<IncognitoResult> serial =
-          RunIncognito(data->table, qid, config, options);
-      ASSERT_TRUE(serial.ok());
-      std::string context = std::string(IncognitoVariantName(variant)) + "/" +
-                            SubstrateModeName(mode);
-      ExpectSameSearch(*baseline, *serial, context + "/serial");
-      // Parallel, both schedules, every thread count.
-      for (int threads : {1, 2, 4, 8}) {
-        for (SchedulingMode schedule :
-             {SchedulingMode::kPipelined, SchedulingMode::kBarrier}) {
-          RunContext ctx = RunContext::WithThreads(threads);
-          ctx.scheduling = schedule;
-          PartialResult<IncognitoResult> parallel = RunIncognitoParallel(
-              data->table, qid, config, options, ctx);
-          ASSERT_TRUE(parallel.ok()) << context;
-          ExpectSameSearch(
-              *baseline, *parallel,
-              context + "/threads=" + std::to_string(threads) +
-                  (schedule == SchedulingMode::kBarrier ? "/barrier"
-                                                        : "/pipelined"));
-        }
-      }
-    }
-  }
-}
-
-TEST(SubstrateSearchTest, RandomDatasetsMatchAcrossSubstrates) {
-  for (uint64_t seed : {7u, 77u, 777u}) {
-    Rng rng(seed);
-    testing_util::RandomDatasetOptions opts;
-    opts.num_rows = 120;
-    RandomDataset data = MakeRandomDataset(rng, opts);
-    AnonymizationConfig config;
-    config.k = 2 + static_cast<int64_t>(seed % 4);
-    IncognitoOptions hash_options;
-    hash_options.substrate = SubstrateMode::kHash;
-    PartialResult<IncognitoResult> baseline =
-        RunIncognito(data.table, data.qid, config, hash_options);
-    ASSERT_TRUE(baseline.ok());
-    IncognitoOptions radix_options;
-    radix_options.substrate = SubstrateMode::kRadix;
-    PartialResult<IncognitoResult> radix =
-        RunIncognito(data.table, data.qid, config, radix_options);
-    ASSERT_TRUE(radix.ok());
-    ExpectSameSearch(*baseline, *radix, "seed=" + std::to_string(seed));
-    PartialResult<IncognitoResult> parallel = RunIncognitoParallel(
-        data.table, data.qid, config, radix_options,
-        RunContext::WithThreads(4));
-    ASSERT_TRUE(parallel.ok());
-    ExpectSameSearch(*baseline, *parallel,
-                     "seed=" + std::to_string(seed) + " parallel");
-  }
-}
-
 TEST(SubstrateSearchTest, CheckerVerdictIndependentOfSubstrate) {
   AdultsOptions adults;
   adults.num_rows = 5000;
@@ -774,9 +697,9 @@ TEST(SubstrateSearchTest, CheckerVerdictIndependentOfSubstrate) {
 }
 
 #ifndef INCOGNITO_OBS_DISABLED
-TEST(SubstrateSearchTest, ContextSubstrateOverridesOptions) {
-  // options say hash, ctx says radix: the run must build every frequency
-  // set on the radix/flat engines — visible via the substrate counters.
+TEST(SubstrateSearchTest, ContextSubstrateSteersEveryBuild) {
+  // ctx says radix: the run must build every frequency set on the
+  // radix/flat engines — visible via the substrate counters.
   AdultsOptions adults;
   adults.num_rows = 4500;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -784,14 +707,12 @@ TEST(SubstrateSearchTest, ContextSubstrateOverridesOptions) {
   QuasiIdentifier qid = data->qid.Prefix(2);
   AnonymizationConfig config;
   config.k = 25;
-  IncognitoOptions options;
-  options.substrate = SubstrateMode::kHash;
   RunContext ctx;
   ctx.substrate = SubstrateMode::kRadix;
   obs::MetricsSnapshot before =
       obs::MetricsSnapshot::Take(obs::CounterRegistry::Global());
   PartialResult<IncognitoResult> run =
-      RunIncognito(data->table, qid, config, options, ctx);
+      RunIncognito(data->table, qid, config, {}, ctx);
   ASSERT_TRUE(run.ok());
   obs::MetricsSnapshot delta =
       obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
@@ -922,16 +843,16 @@ TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
   QuasiIdentifier qid = data->qid.Prefix(3);
   AnonymizationConfig config;
   config.k = 25;
-  IncognitoOptions options;
-  options.substrate = SubstrateMode::kRadix;
-  PartialResult<IncognitoResult> baseline =
-      RunIncognito(data->table, qid, config, options);
+  PartialResult<IncognitoResult> baseline = RunIncognito(
+      data->table, qid, config, {},
+      RunContext().WithSubstrate(SubstrateMode::kRadix));
   ASSERT_TRUE(baseline.ok());
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
   PartialResult<IncognitoResult> governed =
-      RunIncognito(data->table, qid, config, options,
-                   RunContext::Governed(governor, 4));
+      RunIncognito(data->table, qid, config, {},
+                   RunContext::Governed(governor, 4)
+                       .WithSubstrate(SubstrateMode::kRadix));
   ASSERT_TRUE(governed.ok());
   ExpectSameSearch(*baseline, *governed, "governed radix");
   EXPECT_EQ(governor.memory().used(), 0);

@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "common/strings.h"
+#include "core/checker.h"
 #include "core/quasi_identifier.h"
 #include "hierarchy/hierarchy.h"
 #include "lattice/lattice.h"
@@ -163,6 +164,67 @@ inline RandomDataset MakeWideFallbackDataset(size_t num_rows) {
 inline std::set<std::string> NodeSet(const std::vector<SubsetNode>& nodes) {
   std::set<std::string> out;
   for (const SubsetNode& n : nodes) out.insert(n.ToString());
+  return out;
+}
+
+/// The brute-force referee: every full-QID generalization in the lattice
+/// with respect to which `table` is k-anonymous, each checked with its own
+/// scan. Sound and complete by construction; exponential in the QID size.
+inline std::set<std::string> Oracle(const Table& table,
+                                    const QuasiIdentifier& qid,
+                                    const AnonymizationConfig& config) {
+  GeneralizationLattice lattice(qid.MaxLevels());
+  std::set<std::string> out;
+  for (const LevelVector& v : lattice.AllNodesByHeight()) {
+    SubsetNode node = SubsetNode::Full(v);
+    if (IsKAnonymous(table, qid, node, config)) out.insert(node.ToString());
+  }
+  return out;
+}
+
+/// A few-row table whose QID has `num_attrs` height-1 attributes. Row r
+/// (of 8) generalizes to bit (a % 3) of r in attribute a. Attributes with
+/// a % 3 == 1 hold r / 2 (pairs of rows); the others hold r (all
+/// distinct). With k = 2 an attribute subset is k-anonymous at full
+/// generalization iff it covers at most two of the three bit classes, so
+/// the subsets covering all three have no survivors and the Incognito
+/// subset DAG never materializes most of them.
+inline RandomDataset MakeWideQidDataset(size_t num_attrs) {
+  const int32_t kRows = 8;
+  std::vector<ColumnSpec> specs;
+  for (size_t i = 0; i < num_attrs; ++i) {
+    specs.push_back({StringPrintf("w%zu", i), DataType::kInt64});
+  }
+  Table table{Schema(specs)};
+  std::vector<std::pair<std::string, ValueHierarchy>> hierarchies;
+  for (size_t i = 0; i < num_attrs; ++i) {
+    const int32_t bit = static_cast<int32_t>(i % 3);
+    const int32_t shift = bit == 1 ? 1 : 0;  // value = r >> shift
+    Dictionary& dict = table.mutable_dictionary(i);
+    std::vector<std::vector<Value>> levels(2);
+    std::vector<std::vector<int32_t>> parents(1);
+    for (int32_t v = 0; v < (kRows >> shift); ++v) {
+      Value value(static_cast<int64_t>(v));
+      dict.GetOrInsert(value);
+      levels[0].push_back(value);
+      parents[0].push_back(((v << shift) >> bit) & 1);
+    }
+    levels[1] = {Value("b0"), Value("b1")};
+    hierarchies.emplace_back(
+        StringPrintf("w%zu", i),
+        ValueHierarchy::Create(StringPrintf("w%zu", i), levels, parents)
+            .value());
+  }
+  std::vector<int32_t> codes(num_attrs);
+  for (int32_t r = 0; r < kRows; ++r) {
+    for (size_t i = 0; i < num_attrs; ++i) {
+      codes[i] = i % 3 == 1 ? r >> 1 : r;
+    }
+    table.AppendRowCodes(codes);
+  }
+  RandomDataset out;
+  out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
+  out.table = std::move(table);
   return out;
 }
 

@@ -27,8 +27,8 @@
 //                    sorted counter/gauge/histogram deltas on stdout
 //   --stats=json     the same data as one JSON object on stdout
 //   --trace=FILE     write a Chrome trace_event JSON (chrome://tracing,
-//                    Perfetto) of the run's instrumented spans and, on
-//                    parallel runs, per-worker scheduler swimlanes
+//                    Perfetto) of the run's instrumented spans and, for
+//                    Incognito searches, per-worker scheduler swimlanes
 //   --trace-capacity=N      cap the trace buffer at N events (default
 //                    262144; overflow is counted, not grown)
 //   --report=FILE    write a machine-readable RunReport JSON (config,
@@ -38,15 +38,11 @@
 //                    background thread; emits trace counter tracks and
 //                    peak_rss_bytes / cpu_seconds report fields
 //
-// Parallel search (check, enumerate, anonymize, models):
-//   --threads=N      evaluate each lattice level — and, inside a node, the
+// Execution (check, enumerate, anonymize, models):
+//   --threads=N      run the subset-DAG search — and, inside a node, the
 //                    frequency-set scan and the cube build — with N worker
-//                    threads (1-256; results are bit-identical to the
-//                    serial search, see docs/PARALLELISM.md)
-//   --schedule=S     scheduler for the multi-threaded search: pipelined
-//                    (default; subset-DAG pipelining, see
-//                    docs/PARALLELISM.md "Pipelined subset DAG") or
-//                    barrier (level-synchronous)
+//                    threads (1-256, default 1; results are bit-identical
+//                    at every thread count, see docs/PARALLELISM.md)
 //   --variant=V      Incognito variant: basic (default), superroots, or
 //                    cube (enumerate, anonymize)
 //   --no-batch-scan  disable scan-sharing batched level evaluation (one
@@ -212,7 +208,8 @@ struct ObsSession {
     report.SetInt("lattice_size", static_cast<int64_t>(qid.LatticeSize()));
   }
 
-  /// Per-worker busy fractions from a parallel run (empty otherwise).
+  /// Per-worker busy fractions of an Incognito search (empty for other
+  /// runs, and when observability is compiled out).
   void RecordUtilization(const std::vector<double>& utilization) {
     if (!utilization.empty()) {
       report.SetDoubleList("worker_utilization", utilization);
@@ -425,12 +422,8 @@ struct GovernanceOptions {
   /// it is armed and attached only when a budget flag was given. Trips
   /// latch, so governed subcommands making several runs arm a fresh
   /// governor per run.
-  RunContext MakeContext(ExecutionGovernor* governor, int num_threads,
-                         SchedulingMode schedule) const {
-    ExecProfile p = profile;
-    p.num_threads = num_threads;
-    p.scheduling = schedule;
-    return p.MakeContext(governor);
+  RunContext MakeContext(ExecutionGovernor* governor) const {
+    return profile.MakeContext(governor);
   }
 };
 
@@ -464,12 +457,12 @@ Result<GovernanceOptions> ParseGovernance(
   return opts;
 }
 
-/// The --threads flag (worker count for the parallel search,
-/// core/parallel.h; on `check` it fans out the single scan) and the
-/// --variant flag (which Incognito variant to run). Defaults: 1 thread,
-/// basic variant.
+/// The execution knobs --threads (worker count of the search; on `check`
+/// it fans out the single scan) and --substrate, parsed into `profile`,
+/// and the Incognito options --variant and --no-batch-scan. Defaults: 1
+/// thread, auto substrate, basic variant.
 Result<IncognitoOptions> ParseRunOptions(
-    const std::map<std::string, std::string>& args) {
+    const std::map<std::string, std::string>& args, ExecProfile* profile) {
   IncognitoOptions opts;
   std::string threads = Get(args, "threads");
   if (!threads.empty()) {
@@ -478,7 +471,7 @@ Result<IncognitoOptions> ParseRunOptions(
       return Status::InvalidArgument("bad --threads value '" + threads +
                                      "' (want an integer in [1, 256])");
     }
-    opts.num_threads = static_cast<int>(n);
+    profile->num_threads = static_cast<int>(n);
   }
   std::string variant = Get(args, "variant");
   if (!variant.empty()) {
@@ -496,7 +489,8 @@ Result<IncognitoOptions> ParseRunOptions(
   }
   if (!Get(args, "no-batch-scan").empty()) opts.batch_scans = false;
   std::string substrate = Get(args, "substrate");
-  if (!substrate.empty() && !ParseSubstrateMode(substrate, &opts.substrate)) {
+  if (!substrate.empty() &&
+      !ParseSubstrateMode(substrate, &profile->substrate)) {
     return Status::InvalidArgument("bad --substrate value '" + substrate +
                                    "' (want hash, radix, or auto)");
   }
@@ -538,19 +532,6 @@ Result<CheckpointPolicy> ParseCheckpointPolicy(
     }
   }
   return policy;
-}
-
-/// The --schedule flag: which scheduler drives a multi-threaded search.
-/// Default pipelined; ignored (harmlessly) by single-threaded runs.
-Result<SchedulingMode> ParseSchedule(
-    const std::map<std::string, std::string>& args) {
-  std::string schedule = Get(args, "schedule", "pipelined");
-  SchedulingMode mode;
-  if (!ParseSchedulingMode(schedule, &mode)) {
-    return Status::InvalidArgument("bad --schedule value '" + schedule +
-                                   "' (want pipelined or barrier)");
-  }
-  return mode;
 }
 
 std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
@@ -643,7 +624,7 @@ int CmdCheck(const std::map<std::string, std::string>& args,
   if (!node.ok()) return Fail(node.status());
   Result<GovernanceOptions> gov = ParseGovernance(args);
   if (!gov.ok()) return Fail(gov.status());
-  Result<IncognitoOptions> run_opts = ParseRunOptions(args);
+  Result<IncognitoOptions> run_opts = ParseRunOptions(args, &gov->profile);
   if (!run_opts.ok()) return Fail(run_opts.status());
   AnonymizationConfig config = ConfigFrom(args);
 
@@ -653,13 +634,9 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     // A single-node check has no meaningful partial answer, so a budget
     // trip always fails here regardless of --on-budget.
     ExecutionGovernor governor;
-    RunContext check_ctx =
-        gov->MakeContext(&governor, run_opts->num_threads,
-                         SchedulingMode::kPipelined)
-            .WithSubstrate(run_opts->substrate);
-    Result<bool> governed = IsKAnonymous(problem->table, problem->qid,
-                                         node.value(), config, check_ctx,
-                                         &stats);
+    Result<bool> governed =
+        IsKAnonymous(problem->table, problem->qid, node.value(), config,
+                     gov->MakeContext(&governor), &stats);
     obs->RecordGovernorPeak(governor);
     if (!governed.ok()) {
       obs->RecordStats(stats);
@@ -668,7 +645,8 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     ok = governed.value();
   } else {
     ok = IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                      &stats, run_opts->num_threads, run_opts->substrate);
+                      &stats, gov->profile.num_threads,
+                      gov->profile.substrate);
   }
   printf("%s at %s: %lld-anonymous = %s\n", Get(args, "input").c_str(),
          node->ToString(&problem->qid).c_str(),
@@ -701,16 +679,13 @@ int CmdEnumerate(const std::map<std::string, std::string>& args,
   obs->RecordShape(problem->table, problem->qid);
   Result<GovernanceOptions> gov = ParseGovernance(args);
   if (!gov.ok()) return Fail(gov.status());
-  Result<IncognitoOptions> run_opts = ParseRunOptions(args);
+  Result<IncognitoOptions> run_opts = ParseRunOptions(args, &gov->profile);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
   AnonymizationConfig config = ConfigFrom(args);
   ExecutionGovernor governor;
-  RunContext ctx =
-      gov->MakeContext(&governor, run_opts->num_threads, schedule.value());
+  RunContext ctx = gov->MakeContext(&governor);
   if (ckpt->enabled()) ctx.checkpoint = &ckpt.value();
   PartialResult<IncognitoResult> result =
       RunIncognito(problem->table, problem->qid, config, *run_opts, ctx);
@@ -754,10 +729,8 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
   obs->RecordShape(problem->table, problem->qid);
   Result<GovernanceOptions> gov = ParseGovernance(args);
   if (!gov.ok()) return Fail(gov.status());
-  Result<IncognitoOptions> run_opts = ParseRunOptions(args);
+  Result<IncognitoOptions> run_opts = ParseRunOptions(args, &gov->profile);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   Result<CheckpointPolicy> ckpt = ParseCheckpointPolicy(args);
   if (!ckpt.ok()) return Fail(ckpt.status());
   AnonymizationConfig config = ConfigFrom(args);
@@ -773,8 +746,7 @@ int CmdAnonymize(const std::map<std::string, std::string>& args,
     chosen = std::move(node).value();
   } else {
     ExecutionGovernor governor;
-    RunContext ctx =
-        gov->MakeContext(&governor, run_opts->num_threads, schedule.value());
+    RunContext ctx = gov->MakeContext(&governor);
     if (ckpt->enabled()) ctx.checkpoint = &ckpt.value();
     PartialResult<IncognitoResult> result =
         RunIncognito(problem->table, problem->qid, config, *run_opts, ctx);
@@ -861,10 +833,8 @@ int CmdModels(const std::map<std::string, std::string>& args,
   obs->RecordShape(problem->table, problem->qid);
   Result<GovernanceOptions> gov = ParseGovernance(args);
   if (!gov.ok()) return Fail(gov.status());
-  Result<IncognitoOptions> run_opts = ParseRunOptions(args);
+  Result<IncognitoOptions> run_opts = ParseRunOptions(args, &gov->profile);
   if (!run_opts.ok()) return Fail(run_opts.status());
-  Result<SchedulingMode> schedule = ParseSchedule(args);
-  if (!schedule.ok()) return Fail(schedule.status());
   AnonymizationConfig config = ConfigFrom(args);
   std::vector<std::string> cols;
   for (size_t i = 0; i < problem->qid.size(); ++i) {
@@ -906,8 +876,7 @@ int CmdModels(const std::map<std::string, std::string>& args,
   };
   // Each governed run arms its own fresh governor (trips latch).
   auto context = [&](ExecutionGovernor* governor) {
-    return gov->MakeContext(governor, run_opts->num_threads,
-                            schedule.value());
+    return gov->MakeContext(governor);
   };
   printf("%-28s %9s %11s %14s %10s\n", "model", "classes", "avg class",
          "discern.", "suppressed");
