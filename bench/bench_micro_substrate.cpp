@@ -73,48 +73,14 @@ void BM_GroupByScanParallel(benchmark::State& state) {
   SubsetNode node = ZeroNode(9);
   WorkerPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    FrequencySet fs =
-        FrequencySet::ComputeParallel(ds.table, ds.qid, node, pool);
-    benchmark::DoNotOptimize(fs.NumGroups());
+    std::vector<FrequencySet> fs =
+        FrequencySet::ComputeBatch(ds.table, ds.qid, {node}, &pool);
+    benchmark::DoNotOptimize(fs[0].NumGroups());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ds.table.num_rows()));
 }
 BENCHMARK(BM_GroupByScanParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// ---------------------------------------------------------------------------
-// Substrate race (DESIGN.md "Group-by substrates"): the identical
-// narrow-key (packed uint64) scan on the hash engine vs the columnar
-// radix engine, varying the number of grouped attributes. More attributes
-// means more distinct groups, which is where the hash map's pointer
-// chasing loses to gather + LSD radix sort. Both produce bit-identical
-// frequency sets (tests/substrate_test.cc).
-// ---------------------------------------------------------------------------
-void BM_GroupByScanHash(benchmark::State& state) {
-  const SyntheticDataset& ds = SharedAdults();
-  SubsetNode node = ZeroNode(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node,
-                                            SubstrateMode::kHash);
-    benchmark::DoNotOptimize(fs.NumGroups());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.table.num_rows()));
-}
-BENCHMARK(BM_GroupByScanHash)->Arg(3)->Arg(6)->Arg(9);
-
-void BM_GroupByScanRadix(benchmark::State& state) {
-  const SyntheticDataset& ds = SharedAdults();
-  SubsetNode node = ZeroNode(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node,
-                                            SubstrateMode::kRadix);
-    benchmark::DoNotOptimize(fs.NumGroups());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.table.num_rows()));
-}
-BENCHMARK(BM_GroupByScanRadix)->Arg(3)->Arg(6)->Arg(9);
 
 // ---------------------------------------------------------------------------
 // Rollup vs rescan: producing the frequency set one level up from an
@@ -430,7 +396,7 @@ int main(int argc, char** argv) {
     }
 
     // Per-thread speedup of the intra-node parallel scan itself: the
-    // chunked FrequencySet::ComputeParallel at the full 9-attribute
+    // chunked pool-wide FrequencySet::ComputeBatch at the full 9-attribute
     // zero-generalization node, against the serial scan it must match
     // bit-for-bit.
     incognito::SubsetNode scan_node = incognito::ZeroNode(9);
@@ -441,59 +407,17 @@ int main(int argc, char** argv) {
     for (int threads = 1; threads <= max_threads; threads *= 2) {
       incognito::WorkerPool pool(threads);
       incognito::Stopwatch timer;
-      incognito::FrequencySet fs = incognito::FrequencySet::ComputeParallel(
-          ds.table, ds.qid, scan_node, pool);
+      std::vector<incognito::FrequencySet> fs =
+          incognito::FrequencySet::ComputeBatch(ds.table, ds.qid, {scan_node},
+                                                &pool);
       double seconds = timer.ElapsedSeconds();
-      if (fs.NumGroups() != serial_fs.NumGroups()) {
+      if (fs[0].NumGroups() != serial_fs.NumGroups()) {
         fprintf(stderr, "parallel scan mismatch at %d threads\n", threads);
         continue;
       }
       double speedup = seconds > 0 ? serial_scan_seconds / seconds : 0;
       report.SetDerived(StringPrintf("scan_speedup_threads_%d", threads),
                         speedup);
-    }
-
-    // Substrate race, gated: the narrow-key (packed uint64) group-by at
-    // the full 9-attribute zero-generalization node on the hash engine vs
-    // the radix engine. Interleaved best-of-9 on each side (same
-    // rationale as the checkpoint-overhead timing below). The ratio is a
-    // speedup-class derived key in bench_diff, so a regression that costs
-    // the radix engine its lead fails CI; the crossover constants are
-    // counter-class keys, so retuning the kAuto decision table is
-    // machine-visible too.
-    {
-      incognito::SubsetNode race_node = incognito::ZeroNode(9);
-      double hash_best = 0;
-      double radix_best = 0;
-      for (int rep = 0; rep < 9; ++rep) {
-        incognito::Stopwatch hash_timer;
-        incognito::FrequencySet hash_fs = incognito::FrequencySet::Compute(
-            ds.table, ds.qid, race_node, incognito::SubstrateMode::kHash);
-        double hash_seconds = hash_timer.ElapsedSeconds();
-        incognito::Stopwatch radix_timer;
-        incognito::FrequencySet radix_fs = incognito::FrequencySet::Compute(
-            ds.table, ds.qid, race_node, incognito::SubstrateMode::kRadix);
-        double radix_seconds = radix_timer.ElapsedSeconds();
-        if (hash_fs.NumGroups() != radix_fs.NumGroups()) {
-          fprintf(stderr, "substrate race mismatch: hash %zu vs radix %zu\n",
-                  hash_fs.NumGroups(), radix_fs.NumGroups());
-          continue;
-        }
-        if (hash_best == 0 || hash_seconds < hash_best) {
-          hash_best = hash_seconds;
-        }
-        if (radix_best == 0 || radix_seconds < radix_best) {
-          radix_best = radix_seconds;
-        }
-      }
-      report.SetDerived("radix_speedup_narrow",
-                        radix_best > 0 ? hash_best / radix_best : 0);
-      report.SetDerived(
-          "substrate_crossover_rows",
-          static_cast<double>(incognito::kAutoMinRadixRows));
-      report.SetDerived(
-          "substrate_crossover_groups",
-          static_cast<double>(incognito::kAutoMaxHashKeySpace));
     }
 
     // Checkpoint plumbing overhead: a long-enough single-threaded search

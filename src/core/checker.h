@@ -91,21 +91,17 @@ struct AlgorithmStats {
 /// and the oracle the property tests compare the algorithms against.
 /// When `stats` is non-null, the check's costs are accumulated into it.
 /// `num_threads` > 1 fans the scan out across a worker pool
-/// (FrequencySet::ComputeParallel) with a bit-identical verdict and stats.
-/// `substrate` selects the group-by engine for the scan (freq/substrate.h);
-/// every mode returns the identical verdict and stats.
+/// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
-                  AlgorithmStats* stats = nullptr, int num_threads = 1,
-                  SubstrateMode substrate = SubstrateMode::kAuto);
+                  AlgorithmStats* stats = nullptr, int num_threads = 1);
 
 /// RunContext variant (docs/API.md): ctx.governor (when non-null) is
 /// polled before the scan and charged the frequency set's heap footprint
 /// (released after the check); kDeadlineExceeded / kResourceExhausted /
 /// kCancelled replace the answer when a budget trips. An ungoverned
 /// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool with per-worker shard charges; ctx.substrate picks the group-by
-/// engine.
+/// pool; every scan charges its transient state to per-worker shards.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,

@@ -10,7 +10,7 @@
 namespace incognito {
 
 /// One value-typed description of HOW a run should execute — budgets,
-/// threads, substrate, checkpointing — independent of WHAT it runs. This
+/// threads, checkpointing — independent of WHAT it runs. This
 /// is the single JobSpec/flag → RunContext translation shared by the CLI
 /// (tools/incognito_cli.cpp), the benches, and the service daemon
 /// (src/service/), so the arming rules live in exactly one place.
@@ -27,7 +27,6 @@ struct ExecProfile {
   const CancelToken* cancel = nullptr;
   /// Worker threads (values below 1 mean 1).
   int num_threads = 0;
-  SubstrateMode substrate = SubstrateMode::kAuto;
   /// Owned checkpoint policy; inert unless a path is set.
   CheckpointPolicy checkpoint;
 

@@ -68,14 +68,13 @@ class GraphWalk {
  public:
   GraphWalk(const Table& table, const QuasiIdentifier& qid,
             const AnonymizationConfig& config,
-            const IncognitoOptions& options, SubstrateMode substrate,
-            const ZeroGenCube* cube, ExecutionGovernor* governor,
-            WorkerPool* pool, std::vector<Lane> lanes)
+            const IncognitoOptions& options, const ZeroGenCube* cube,
+            ExecutionGovernor* governor, WorkerPool* pool,
+            std::vector<Lane> lanes)
       : table_(table),
         qid_(qid),
         config_(config),
         options_(options),
-        substrate_(substrate),
         cube_(cube),
         governor_(governor),
         pool_(pool),
@@ -165,11 +164,9 @@ class GraphWalk {
         }
         super.levels = std::move(min_levels);
         ++main_stats.table_scans;
-        FrequencySet super_freq =
-            pool_ != nullptr
-                ? FrequencySet::ComputeParallel(table_, qid_, super, *pool_,
-                                                governor_, substrate_)
-                : FrequencySet::Compute(table_, qid_, super, substrate_);
+        INCOGNITO_COUNT("freq.scans");
+        FrequencySet super_freq = std::move(FrequencySet::ComputeBatch(
+            table_, qid_, {super}, pool_, governor_)[0]);
         main_stats.freq_groups_built +=
             static_cast<int64_t>(super_freq.NumGroups());
         Status charged =
@@ -210,9 +207,12 @@ class GraphWalk {
         }
         ++main_stats.table_scans;
         main_stats.batched_scan_nodes += static_cast<int64_t>(group.size());
+        INCOGNITO_COUNT("freq.batch_scans");
+        INCOGNITO_COUNT_ADD("freq.batch_scan_nodes",
+                            static_cast<int64_t>(group.size()));
         Stopwatch batch_timer;
         std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-            table_, qid_, nodes, pool_, governor_, substrate_);
+            table_, qid_, nodes, pool_, governor_);
         main_stats.batch_scan_seconds += batch_timer.ElapsedSeconds();
         Status bstatus = main_shard.Check();
         for (size_t j = 0; bstatus.ok() && j < group.size(); ++j) {
@@ -472,7 +472,7 @@ class GraphWalk {
     }
     // Fallback: scan the table (Basic Incognito roots).
     ++stats->table_scans;
-    return FrequencySet::Compute(table_, qid_, node, substrate_);
+    return FrequencySet::Compute(table_, qid_, node);
   }
 
   void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
@@ -493,7 +493,6 @@ class GraphWalk {
   const QuasiIdentifier& qid_;
   const AnonymizationConfig& config_;
   const IncognitoOptions& options_;
-  const SubstrateMode substrate_;
   const ZeroGenCube* cube_;
   ExecutionGovernor* governor_;  // never null; unlimited when ungoverned
   WorkerPool* pool_;             // null: evaluate inline on lanes_[0]
@@ -664,8 +663,7 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
     ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::BuildParallel(table, qid, pool, &info, governor,
-                                      ctx.substrate);
+    cube = ZeroGenCube::BuildParallel(table, qid, pool, &info, governor);
     cube_ptr = &cube;
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;
@@ -831,8 +829,8 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
 #endif
     pool.Run(static_cast<size_t>(workers), [&](int w, size_t, size_t) {
       const Lane& lane = lanes[static_cast<size_t>(w)];
-      GraphWalk walk(table, qid, config, options, ctx.substrate, cube_ptr,
-                     governor, nullptr, {lane});
+      GraphWalk walk(table, qid, config, options, cube_ptr, governor,
+                     nullptr, {lane});
       std::unique_lock<std::mutex> lock(mu);
       for (;;) {
         cv.wait(lock,
@@ -957,8 +955,8 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
     CandidateGraph apex =
         SubsetCandidates(qid, full, parent_graphs(full), lanes[0].shard);
     lanes[0].stats->candidate_nodes += static_cast<int64_t>(apex.num_nodes());
-    GraphWalk walk(table, qid, config, options, ctx.substrate, cube_ptr,
-                   governor, &pool, lanes);
+    GraphWalk walk(table, qid, config, options, cube_ptr, governor, &pool,
+                   lanes);
     Result<CandidateGraph> survivors = SearchGraph(walk, apex);
     if (!survivors.ok()) return stop_early(survivors.status());
     apex_nodes = SortedNodes(survivors.value());

@@ -104,11 +104,9 @@ struct IncognitoResult {
 /// thread count.
 ///
 /// `ctx` carries the execution parameters (docs/API.md):
-///   - A default RunContext runs ungoverned on one worker with the
-///     kAuto substrate; the result is complete() and the trip counters
-///     stay zero.
-///   - ctx.num_threads sets the worker count; ctx.substrate the group-by
-///     engine of every frequency-set build.
+///   - A default RunContext runs ungoverned on one worker; the result is
+///     complete() and the trip counters stay zero.
+///   - ctx.num_threads sets the worker count.
 ///   - ctx.governor non-null polls the governor at every lattice-node
 ///     check and charges frequency-set / cube / hash-tree construction
 ///     against its memory budget, each worker through its own

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "freq/substrate.h"
 #include "robust/governor.h"
 
 namespace incognito {
@@ -12,12 +11,12 @@ namespace incognito {
 struct CheckpointPolicy;
 
 /// Execution parameters shared by every Run* entry point: who governs the
-/// run (deadline / memory budget / cancellation), how many worker threads
-/// it may use, and which group-by substrate it builds with. Each execution
-/// knob lives here and nowhere else. Replaces the old
-/// governed/ungoverned overload pairs (docs/API.md): a default-constructed
-/// RunContext reproduces the legacy ungoverned call exactly, and
-/// RunContext::Governed(governor) reproduces the legacy governed one.
+/// run (deadline / memory budget / cancellation) and how many worker
+/// threads it may use. Each execution knob lives here and nowhere else.
+/// Replaces the old governed/ungoverned overload pairs (docs/API.md): a
+/// default-constructed RunContext reproduces the legacy ungoverned call
+/// exactly, and RunContext::Governed(governor) reproduces the legacy
+/// governed one.
 ///
 /// The context only borrows the governor — the caller keeps ownership and
 /// must keep it alive for the duration of the run. Construct a fresh
@@ -31,12 +30,6 @@ struct RunContext {
   /// algorithms with a parallel path across a worker pool.
   /// Single-threaded algorithms ignore the value.
   int num_threads = 1;
-
-  /// Group-by substrate for every frequency-set build of the run
-  /// (DESIGN.md "Group-by substrates"). kAuto (default) lets each build
-  /// choose by key shape. Purely a performance knob — all modes are
-  /// bit-identical.
-  SubstrateMode substrate = SubstrateMode::kAuto;
 
   /// Optional crash-safe checkpointing (robust/checkpoint.h): when set
   /// and enabled, the Incognito lattice search periodically spills its
@@ -72,8 +65,7 @@ struct RunContext {
   //   RunContext ctx = RunContext::Governed(governor)
   //                        .WithDeadline(spec.deadline_ms)
   //                        .WithMemoryBudget(spec.memory_budget_bytes)
-  //                        .WithCheckpoint(&policy)
-  //                        .WithSubstrate(spec.substrate);
+  //                        .WithCheckpoint(&policy);
   //
   // The budget builders pass "unset" sentinels through unchanged (negative
   // deadline, zero bytes, null pointers are no-ops), so optional fields
@@ -121,11 +113,6 @@ struct RunContext {
   /// Sets the worker-thread count (values below 1 mean 1).
   RunContext& WithWorkers(int n) {
     num_threads = n;
-    return *this;
-  }
-
-  RunContext& WithSubstrate(SubstrateMode mode) {
-    substrate = mode;
     return *this;
   }
 

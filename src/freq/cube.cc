@@ -36,8 +36,7 @@ SubsetNode ZeroNodeForMask(uint32_t mask) {
 
 ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
                                BuildInfo* info,
-                               ExecutionGovernor* governor,
-                               SubstrateMode substrate) {
+                               ExecutionGovernor* governor) {
   INCOGNITO_SPAN("cube.build");
   INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
   INCOGNITO_COUNT("cube.builds");
@@ -64,8 +63,7 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
 
   const uint32_t full = (1u << n) - 1;  // n <= 24, so the shift is safe
   auto root = cube.sets_.emplace(
-      full, FrequencySet::Compute(table, qid, ZeroNodeForMask(full),
-                                  substrate));
+      full, FrequencySet::Compute(table, qid, ZeroNodeForMask(full)));
   local.table_scans = 1;
   bool tripped = !charge(root.first->second);
   if (tripped) cube.sets_.clear();
@@ -94,7 +92,7 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
     }
     assert(best != nullptr);
     auto inserted = cube.sets_.emplace(
-        m, best->ProjectTo(ZeroNodeForMask(m), qid, substrate));
+        m, best->ProjectTo(ZeroNodeForMask(m), qid));
     ++local.projections;
     if (!charge(inserted.first->second)) {
       // The just-built set was refused: drop it (it was never charged) and
@@ -119,8 +117,7 @@ ZeroGenCube ZeroGenCube::Build(const Table& table, const QuasiIdentifier& qid,
 ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
                                        const QuasiIdentifier& qid,
                                        WorkerPool& pool, BuildInfo* info,
-                                       ExecutionGovernor* governor,
-                                       SubstrateMode substrate) {
+                                       ExecutionGovernor* governor) {
   INCOGNITO_SPAN("cube.build");
   INCOGNITO_PHASE_TIMER("phase.cube_build_seconds");
   INCOGNITO_COUNT("cube.builds");
@@ -134,8 +131,9 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
   // Root: one parallel scan of T (the cube's only table access). A trip
   // inside the scan latches the governor and yields an empty set; the
   // main-thread charge below observes the latch via Check().
-  FrequencySet root_fs = FrequencySet::ComputeParallel(
-      table, qid, ZeroNodeForMask(full), pool, governor, substrate);
+  INCOGNITO_COUNT("freq.scans");
+  FrequencySet root_fs = std::move(FrequencySet::ComputeBatch(
+      table, qid, {ZeroNodeForMask(full)}, &pool, governor)[0]);
   local.table_scans = 1;
 
   // Same root charge protocol as the serial Build, fault site included.
@@ -251,7 +249,7 @@ ZeroGenCube ZeroGenCube::BuildParallel(const Table& table,
             }
           }
           INCOGNITO_COUNT("cube.parallel_projections");
-          *slot[m] = best->ProjectTo(ZeroNodeForMask(m), qid, substrate);
+          *slot[m] = best->ProjectTo(ZeroNodeForMask(m), qid);
           if (shard != nullptr &&
               !shard
                    ->ChargeMemory(

@@ -38,18 +38,13 @@ class ZeroGenCube {
   /// memory budget; a refused charge (or a tripped deadline/cancellation)
   /// stops the build early — the caller detects this via
   /// governor->Tripped() and must not use the incomplete cube.
-  ///
-  /// `substrate` selects the group-by engine for the root scan and every
-  /// projection (freq/substrate.h); all modes build the bit-identical
-  /// cube, BuildInfo byte totals included.
   static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
                            BuildInfo* info = nullptr,
-                           ExecutionGovernor* governor = nullptr,
-                           SubstrateMode substrate = SubstrateMode::kAuto);
+                           ExecutionGovernor* governor = nullptr);
 
   /// Parallel twin of Build (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): the root scan runs as a parallel FrequencySet::
-  /// ComputeParallel, and the per-mask projections — which form a DAG
+  /// parallelism"): the root scan runs as a pool-wide FrequencySet::
+  /// ComputeBatch, and the per-mask projections — which form a DAG
   /// (every mask depends on its one-attribute supersets) — are scheduled
   /// by decreasing popcount with dependency counting, so independent
   /// projections at the same popcount run concurrently across the pool.
@@ -69,9 +64,7 @@ class ZeroGenCube {
   static ZeroGenCube BuildParallel(const Table& table,
                                    const QuasiIdentifier& qid,
                                    WorkerPool& pool, BuildInfo* info = nullptr,
-                                   ExecutionGovernor* governor = nullptr,
-                                   SubstrateMode substrate =
-                                       SubstrateMode::kAuto);
+                                   ExecutionGovernor* governor = nullptr);
 
   /// Releases every byte Build() charged against `governor` (call when the
   /// cube is discarded).

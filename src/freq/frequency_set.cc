@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_map>
 
 #include "core/worker_pool.h"
 #include "freq/substrate.h"
@@ -14,18 +13,6 @@
 namespace incognito {
 
 namespace {
-
-/// FNV-1a hash over a code vector (fallback key path).
-struct VecHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (int32_t x : v) {
-      h ^= static_cast<uint32_t>(x);
-      h *= 0x100000001b3ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
 
 std::vector<size_t> Cardinalities(const QuasiIdentifier& qid,
                                   const SubsetNode& node) {
@@ -38,64 +25,28 @@ std::vector<size_t> Cardinalities(const QuasiIdentifier& qid,
   return cards;
 }
 
-/// Approximate per-entry heap cost of the aggregation hash maps, used for
-/// the parallel scan's transient shard charges (two bucket/node pointers
-/// of overhead per entry on the common implementations).
-constexpr size_t kHashNodeOverhead = 2 * sizeof(void*);
-
-/// Resolves which engine a build with this codec and input size uses
-/// (substrate.h; the INCOGNITO_SUBSTRATE environment override applies to
-/// kAuto only).
-SubstrateChoice ChoiceFor(const KeyCodec& codec, size_t rows,
-                          SubstrateMode substrate) {
-  return ResolveSubstrate(substrate, codec.packed(), rows,
-                          EstimateKeySpace(codec.cardinalities()));
-}
-
-/// One group-by build ran on this engine (OBSERVABILITY.md).
-void CountSubstrate(SubstrateChoice choice) {
-  switch (choice) {
-    case SubstrateChoice::kHashMap:
-      INCOGNITO_COUNT("freq.substrate_hash");
-      break;
-    case SubstrateChoice::kRadixSort:
-      INCOGNITO_COUNT("freq.substrate_radix");
-      break;
-    case SubstrateChoice::kFlatMap:
-      INCOGNITO_COUNT("freq.substrate_flat");
-      break;
+/// One group-by build ran on its key width's engine (OBSERVABILITY.md).
+void CountEngine(const KeyCodec& codec) {
+  if (codec.packed()) {
+    INCOGNITO_COUNT("freq.substrate_radix");
+  } else {
+    INCOGNITO_COUNT("freq.substrate_flat");
   }
 }
 
 /// Coalesces a key-sorted (key, count) run into unique groups with an
 /// exact-capacity reserve — `out` must be empty so its final capacity is
-/// the group count, matching the hash substrate's assign-from-map.
-void CoalescePacked(const std::vector<std::pair<uint64_t, int64_t>>& all,
-                    std::vector<std::pair<uint64_t, int64_t>>* out) {
+/// the group count (and each copied vector key is exact-size too).
+template <typename Key>
+void Coalesce(const std::vector<std::pair<Key, int64_t>>& all,
+              std::vector<std::pair<Key, int64_t>>* out) {
   size_t unique = 0;
   for (size_t i = 0; i < all.size(); ++i) {
     if (i == 0 || all[i].first != all[i - 1].first) ++unique;
   }
   out->reserve(unique);
   for (size_t i = 0; i < all.size();) {
-    const uint64_t key = all[i].first;
-    int64_t count = 0;
-    for (; i < all.size() && all[i].first == key; ++i) count += all[i].second;
-    out->emplace_back(key, count);
-  }
-}
-
-/// Vector-key twin of CoalescePacked.
-void CoalesceVec(
-    const std::vector<std::pair<std::vector<int32_t>, int64_t>>& all,
-    std::vector<std::pair<std::vector<int32_t>, int64_t>>* out) {
-  size_t unique = 0;
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (i == 0 || all[i].first != all[i - 1].first) ++unique;
-  }
-  out->reserve(unique);
-  for (size_t i = 0; i < all.size();) {
-    std::vector<int32_t> key = all[i].first;
+    Key key = all[i].first;
     int64_t count = 0;
     for (; i < all.size() && all[i].first == key; ++i) count += all[i].second;
     out->emplace_back(std::move(key), count);
@@ -113,305 +64,10 @@ FrequencySet FrequencySet::MakeEmpty(const SubsetNode& node,
   return fs;
 }
 
-FrequencySet FrequencySet::Compute(const Table& table,
-                                   const QuasiIdentifier& qid,
-                                   const SubsetNode& node,
-                                   SubstrateMode substrate) {
-  assert(node.size() > 0);
-  INCOGNITO_SPAN("freq.scan");
-  INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
-  INCOGNITO_HIST_TIMER("freq.build_seconds");
-  INCOGNITO_COUNT("freq.scans");
-  INCOGNITO_COUNT_ADD("freq.scan_rows",
-                      static_cast<int64_t>(table.num_rows()));
-  FrequencySet fs = MakeEmpty(node, qid);
-
-  const size_t n = node.size();
-  // Gather the encoded columns and the base→level generalization maps.
-  std::vector<const int32_t*> cols(n);
-  std::vector<const int32_t*> maps(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t d = static_cast<size_t>(node.dims[i]);
-    cols[i] = table.ColumnCodes(qid.column(d)).data();
-    maps[i] = qid.hierarchy(d)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-  }
-
-  const size_t rows = table.num_rows();
-  const SubstrateChoice choice = ChoiceFor(fs.codec_, rows, substrate);
-  CountSubstrate(choice);
-  switch (choice) {
-    case SubstrateChoice::kRadixSort: {
-      // Columnar gather + LSD radix: order-preserving packing means the
-      // sorted key run IS the canonical group order, so the run-length
-      // extraction below replaces both the hash probes and SortGroups().
-      std::vector<uint64_t> keys;
-      GatherPackedKeys(cols, maps, fs.codec_, 0, rows, &keys);
-      std::vector<uint64_t> scratch;
-      RadixSortKeys(keys, scratch, fs.codec_.total_bits());
-      ExtractGroups(keys, &fs.groups_);
-      break;
-    }
-    case SubstrateChoice::kFlatMap: {
-      FlatCodeMap agg(n, rows / 4 + 8);
-      std::vector<int32_t> codes(n);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        agg.Add(codes.data(), 1);
-      }
-      agg.AppendTo(&fs.vgroups_);
-      fs.SortGroups();
-      break;
-    }
-    case SubstrateChoice::kHashMap: {
-      if (fs.packed_) {
-        std::unordered_map<uint64_t, int64_t> agg;
-        agg.reserve(rows / 4 + 8);
-        std::vector<int32_t> codes(n);
-        for (size_t r = 0; r < rows; ++r) {
-          for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-          ++agg[fs.codec_.Pack(codes.data())];
-        }
-        fs.groups_.assign(agg.begin(), agg.end());
-      } else {
-        std::unordered_map<std::vector<int32_t>, int64_t, VecHash> agg;
-        agg.reserve(rows / 4 + 8);
-        std::vector<int32_t> codes(n);
-        for (size_t r = 0; r < rows; ++r) {
-          for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-          ++agg[codes];
-        }
-        fs.vgroups_.assign(agg.begin(), agg.end());
-      }
-      fs.SortGroups();
-      break;
-    }
-  }
-  fs.total_count_ = static_cast<int64_t>(rows);
-  return fs;
-}
-
-FrequencySet FrequencySet::ComputeParallel(const Table& table,
-                                           const QuasiIdentifier& qid,
-                                           const SubsetNode& node,
-                                           WorkerPool& pool,
-                                           ExecutionGovernor* governor,
-                                           SubstrateMode substrate) {
-  assert(node.size() > 0);
-  INCOGNITO_SPAN("freq.scan");
-  INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
-  INCOGNITO_HIST_TIMER("freq.build_seconds");
-  INCOGNITO_COUNT("freq.scans");
-  INCOGNITO_COUNT("freq.parallel_scans");
-  INCOGNITO_COUNT_ADD("freq.scan_rows",
-                      static_cast<int64_t>(table.num_rows()));
-  FrequencySet fs = MakeEmpty(node, qid);
-
-  const size_t n = node.size();
-  std::vector<const int32_t*> cols(n);
-  std::vector<const int32_t*> maps(n);
-  for (size_t i = 0; i < n; ++i) {
-    size_t d = static_cast<size_t>(node.dims[i]);
-    cols[i] = table.ColumnCodes(qid.column(d)).data();
-    maps[i] = qid.hierarchy(d)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-  }
-
-  const size_t rows = table.num_rows();
-  const size_t workers = static_cast<size_t>(pool.size());
-  INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
-  // The whole scan resolves to one engine (the decision depends only on
-  // the codec and the full row count), so every worker runs the same
-  // substrate and the merge sees homogeneous partials.
-  const SubstrateChoice choice = ChoiceFor(fs.codec_, rows, substrate);
-  CountSubstrate(choice);
-
-  // Per-worker thread-local aggregation state; merged after the barrier.
-  std::vector<std::unordered_map<uint64_t, int64_t>> wagg;
-  std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>
-      wvagg;
-  std::vector<std::vector<std::pair<uint64_t, int64_t>>> wpart;
-  std::vector<std::unique_ptr<FlatCodeMap>> wflat;
-  switch (choice) {
-    case SubstrateChoice::kRadixSort:
-      wpart.resize(workers);
-      break;
-    case SubstrateChoice::kFlatMap:
-      wflat.resize(workers);
-      break;
-    case SubstrateChoice::kHashMap:
-      if (fs.packed_) {
-        wagg.resize(workers);
-      } else {
-        wvagg.resize(workers);
-      }
-      break;
-  }
-
-  // Governed scans charge the running footprint of each worker's local
-  // aggregation state to a private shard so the global budget observes the
-  // transient scan memory; the shards drain before returning and the
-  // caller charges the final set exactly as on the serial path. The radix
-  // engine's transient state is its gather + scratch buffers (charged up
-  // front, released when they die) plus the extracted groups.
-  std::vector<std::unique_ptr<GovernorShard>> shards;
-  if (governor != nullptr) {
-    shards.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      shards.push_back(std::make_unique<GovernorShard>(governor));
-    }
-  }
-
-  const size_t entry_bytes =
-      (fs.packed_ ? sizeof(std::pair<const uint64_t, int64_t>)
-                  : sizeof(std::pair<const std::vector<int32_t>, int64_t>) +
-                        n * sizeof(int32_t)) +
-      kHashNodeOverhead;
-  constexpr size_t kCheckEveryRows = 16384;
-
-  pool.Run(rows, [&](int w, size_t begin, size_t end) {
-    INCOGNITO_SPAN("freq.scan.chunk");
-    const size_t wi = static_cast<size_t>(w);
-    GovernorShard* shard = governor != nullptr ? shards[wi].get() : nullptr;
-    if (shard != nullptr) {
-      if (!shard->Check().ok()) return;
-      // Fault site "freq.scan.chunk": an injected allocation failure at
-      // the start of a worker's row chunk latches like a refused charge;
-      // sibling chunks stop at their next checkpoint.
-      if (INCOGNITO_FAULT_FIRED("freq.scan.chunk")) {
-        governor->LatchInjectedFailure("freq.scan.chunk");
-        return;
-      }
-    }
-    int64_t charged = 0;
-    auto checkpoint = [&](size_t footprint) {
-      if (shard == nullptr) return true;
-      if (!shard->Check().ok()) return false;
-      int64_t now = static_cast<int64_t>(footprint);
-      if (now > charged) {
-        if (!shard->ChargeMemory(now - charged).ok()) return false;
-        charged = now;
-      }
-      return true;
-    };
-    if (choice == SubstrateChoice::kRadixSort) {
-      const size_t chunk_rows = end - begin;
-      if (chunk_rows == 0) return;
-      // The gather + scratch buffers are the radix engine's map-growth
-      // analogue: charged before they exist, released when they die.
-      const int64_t buffer_bytes =
-          static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
-      if (shard != nullptr && !shard->ChargeMemory(buffer_bytes).ok()) return;
-      {
-        std::function<bool()> tick;
-        if (shard != nullptr) {
-          tick = [shard] { return shard->Check().ok(); };
-        }
-        std::vector<uint64_t> keys;
-        GatherPackedKeys(cols, maps, fs.codec_, begin, end, &keys);
-        std::vector<uint64_t> scratch;
-        if (RadixSortKeys(keys, scratch, fs.codec_.total_bits(), tick)) {
-          const size_t groups = ExtractGroups(keys, &wpart[wi]);
-          checkpoint(groups * sizeof(std::pair<uint64_t, int64_t>));
-        }
-      }
-      if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
-      return;
-    }
-    std::vector<int32_t> codes(n);
-    if (choice == SubstrateChoice::kFlatMap) {
-      wflat[wi] =
-          std::make_unique<FlatCodeMap>(n, (end - begin) / 4 + 8);
-      FlatCodeMap& agg = *wflat[wi];
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.MemoryBytes())) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        agg.Add(codes.data(), 1);
-      }
-      checkpoint(agg.MemoryBytes());
-    } else if (fs.packed_) {
-      auto& agg = wagg[wi];
-      agg.reserve((end - begin) / 4 + 8);
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.size() * entry_bytes)) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        ++agg[fs.codec_.Pack(codes.data())];
-      }
-      checkpoint(agg.size() * entry_bytes);
-    } else {
-      auto& agg = wvagg[wi];
-      agg.reserve((end - begin) / 4 + 8);
-      for (size_t r = begin; r < end; ++r) {
-        if ((r - begin) % kCheckEveryRows == 0 &&
-            !checkpoint(agg.size() * entry_bytes)) {
-          return;
-        }
-        for (size_t i = 0; i < n; ++i) codes[i] = maps[i][cols[i][r]];
-        ++agg[codes];
-      }
-      checkpoint(agg.size() * entry_bytes);
-    }
-  });
-
-  // Transient charges return to the governor here; a trip (if any) is
-  // already latched shared, so the caller's next Check()/charge sees it.
-  for (auto& shard : shards) shard->Drain();
-  if (governor != nullptr && !governor->SharedTrip().ok()) {
-    return MakeEmpty(node, qid);
-  }
-
-  // Merge in worker-id order, coalesce equal keys, and canonically sort.
-  // Keys are unique after coalescing, so the sorted result — including its
-  // exact capacity, hence MemoryBytes() — matches the serial scan. Each
-  // engine's partials carry the same per-(worker, key) chunk counts, so
-  // all three merges produce the identical byte-for-byte frequency set.
-  if (fs.packed_) {
-    std::vector<std::pair<uint64_t, int64_t>> all;
-    size_t total = 0;
-    if (choice == SubstrateChoice::kRadixSort) {
-      for (const auto& p : wpart) total += p.size();
-      all.reserve(total);
-      for (const auto& p : wpart) all.insert(all.end(), p.begin(), p.end());
-    } else {
-      for (const auto& m : wagg) total += m.size();
-      all.reserve(total);
-      for (const auto& m : wagg) all.insert(all.end(), m.begin(), m.end());
-    }
-    std::sort(all.begin(), all.end());
-    CoalescePacked(all, &fs.groups_);
-  } else {
-    std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
-    size_t total = 0;
-    if (choice == SubstrateChoice::kFlatMap) {
-      for (const auto& f : wflat) total += f != nullptr ? f->size() : 0;
-      all.reserve(total);
-      for (const auto& f : wflat) {
-        if (f != nullptr) f->AppendTo(&all);
-      }
-    } else {
-      for (const auto& m : wvagg) total += m.size();
-      all.reserve(total);
-      for (const auto& m : wvagg) all.insert(all.end(), m.begin(), m.end());
-    }
-    std::sort(all.begin(), all.end());
-    CoalesceVec(all, &fs.vgroups_);
-  }
-  fs.total_count_ = static_cast<int64_t>(rows);
-  return fs;
-}
-
 std::vector<FrequencySet> FrequencySet::ComputeBatch(
     const Table& table, const QuasiIdentifier& qid,
     const std::vector<SubsetNode>& nodes, WorkerPool* pool,
-    ExecutionGovernor* governor, SubstrateMode substrate) {
+    ExecutionGovernor* governor) {
   std::vector<FrequencySet> out;
   out.reserve(nodes.size());
   for (const SubsetNode& node : nodes) {
@@ -419,21 +75,18 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     out.push_back(MakeEmpty(node, qid));
   }
   if (nodes.empty()) return out;
-  INCOGNITO_SPAN("freq.batch_scan");
+  INCOGNITO_SPAN("freq.scan");
   INCOGNITO_PHASE_TIMER("phase.freq_scan_seconds");
   INCOGNITO_HIST_TIMER("freq.build_seconds");
-  INCOGNITO_COUNT("freq.batch_scans");
-  INCOGNITO_COUNT_ADD("freq.batch_scan_nodes",
-                      static_cast<int64_t>(nodes.size()));
   INCOGNITO_COUNT_ADD("freq.scan_rows",
                       static_cast<int64_t>(table.num_rows()));
 
   const size_t b = nodes.size();
   const size_t rows = table.num_rows();
-  // Per-node encoded columns, base→level maps, and code scratch (reused as
-  // the map-lookup key on the fallback path, like the single-node scans).
+  // Per-node encoded columns and base→level generalization maps.
   std::vector<std::vector<const int32_t*>> cols(b);
   std::vector<std::vector<const int32_t*>> maps(b);
+  bool any_packed = false;
   for (size_t j = 0; j < b; ++j) {
     const size_t n = nodes[j].size();
     cols[j].resize(n);
@@ -445,119 +98,25 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
                        .BaseToLevelMap(static_cast<size_t>(nodes[j].levels[i]))
                        .data();
     }
+    CountEngine(out[j].codec_);
+    any_packed = any_packed || out[j].packed_;
   }
 
-  // Each node resolves its own engine (same dims, different levels ⇒
-  // different key spaces, so under kAuto a batch can mix engines).
-  // Radix nodes are gathered column-wise outside the shared row loop;
-  // hash and flat nodes ride the row loop together.
-  std::vector<SubstrateChoice> choice(b);
-  bool any_radix = false;
-  bool any_rowloop = false;
-  for (size_t j = 0; j < b; ++j) {
-    choice[j] = ChoiceFor(out[j].codec_, rows, substrate);
-    CountSubstrate(choice[j]);
-    if (choice[j] == SubstrateChoice::kRadixSort) {
-      any_radix = true;
-    } else {
-      any_rowloop = true;
-    }
+  const size_t workers =
+      pool != nullptr && pool->size() > 1 ? static_cast<size_t>(pool->size())
+                                          : 1;
+  if (workers > 1) {
+    INCOGNITO_COUNT("freq.parallel_scans");
+    INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
   }
 
-  if (pool == nullptr || pool->size() <= 1) {
-    // Serial shared scan: one row loop feeds every row-loop node; radix
-    // nodes each take a columnar pass over their (shared, cache-resident)
-    // columns. The fault site stands in for an allocation failure while
-    // setting the aggregation state up.
-    if (governor != nullptr && INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
-      governor->LatchInjectedFailure("freq.batch.scan");
-      return out;
-    }
-    if (any_radix) {
-      std::vector<uint64_t> keys;
-      std::vector<uint64_t> scratch;
-      for (size_t j = 0; j < b; ++j) {
-        if (choice[j] != SubstrateChoice::kRadixSort) continue;
-        GatherPackedKeys(cols[j], maps[j], out[j].codec_, 0, rows, &keys);
-        RadixSortKeys(keys, scratch, out[j].codec_.total_bits());
-        ExtractGroups(keys, &out[j].groups_);
-      }
-    }
-    if (any_rowloop) {
-      std::vector<std::unordered_map<uint64_t, int64_t>> agg(b);
-      std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>
-          vagg(b);
-      std::vector<std::unique_ptr<FlatCodeMap>> flat(b);
-      std::vector<std::vector<int32_t>> codes(b);
-      for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
-        codes[j].resize(nodes[j].size());
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          flat[j] =
-              std::make_unique<FlatCodeMap>(nodes[j].size(), rows / 4 + 8);
-        } else if (out[j].packed_) {
-          agg[j].reserve(rows / 4 + 8);
-        } else {
-          vagg[j].reserve(rows / 4 + 8);
-        }
-      }
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t j = 0; j < b; ++j) {
-          if (choice[j] == SubstrateChoice::kRadixSort) continue;
-          const size_t n = nodes[j].size();
-          for (size_t i = 0; i < n; ++i) {
-            codes[j][i] = maps[j][i][cols[j][i][r]];
-          }
-          if (choice[j] == SubstrateChoice::kFlatMap) {
-            flat[j]->Add(codes[j].data(), 1);
-          } else if (out[j].packed_) {
-            ++agg[j][out[j].codec_.Pack(codes[j].data())];
-          } else {
-            ++vagg[j][codes[j]];
-          }
-        }
-      }
-      for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
-        // assign from the finished map, exactly like Compute, so the
-        // vector capacity — hence MemoryBytes() — matches the single-node
-        // scan (FlatCodeMap::AppendTo reserves the same exact size).
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          flat[j]->AppendTo(&out[j].vgroups_);
-        } else if (out[j].packed_) {
-          out[j].groups_.assign(agg[j].begin(), agg[j].end());
-        } else {
-          out[j].vgroups_.assign(vagg[j].begin(), vagg[j].end());
-        }
-        out[j].SortGroups();
-      }
-    }
-    for (size_t j = 0; j < b; ++j) {
-      out[j].total_count_ = static_cast<int64_t>(rows);
-    }
-    return out;
-  }
-
-  const size_t workers = static_cast<size_t>(pool->size());
-  INCOGNITO_COUNT("freq.parallel_scans");
-  INCOGNITO_COUNT_ADD("freq.scan_chunks", static_cast<int64_t>(workers));
-
-  // Per-worker, per-node thread-local aggregation state; merged after the
-  // barrier in worker-id order.
-  std::vector<std::vector<std::unordered_map<uint64_t, int64_t>>> wagg(
-      workers);
-  std::vector<
-      std::vector<std::unordered_map<std::vector<int32_t>, int64_t, VecHash>>>
-      wvagg(workers);
+  // Per-worker, per-node partial sets, merged after the scan in worker-id
+  // order: sorted unique (key, count) runs for packed nodes, flat maps for
+  // wide ones.
   std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> wpart(
-      workers);
+      workers, std::vector<std::vector<std::pair<uint64_t, int64_t>>>(b));
   std::vector<std::vector<std::unique_ptr<FlatCodeMap>>> wflat(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    wagg[w].resize(b);
-    wvagg[w].resize(b);
-    wpart[w].resize(b);
-    wflat[w].resize(b);
-  }
+  for (auto& flat : wflat) flat.resize(b);
 
   std::vector<std::unique_ptr<GovernorShard>> shards;
   if (governor != nullptr) {
@@ -566,37 +125,28 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       shards.push_back(std::make_unique<GovernorShard>(governor));
     }
   }
-
-  std::vector<size_t> entry_bytes(b);
-  for (size_t j = 0; j < b; ++j) {
-    entry_bytes[j] =
-        (out[j].packed_
-             ? sizeof(std::pair<const uint64_t, int64_t>)
-             : sizeof(std::pair<const std::vector<int32_t>, int64_t>) +
-                   nodes[j].size() * sizeof(int32_t)) +
-        kHashNodeOverhead;
-  }
   constexpr size_t kCheckEveryRows = 16384;
 
-  pool->Run(rows, [&](int w, size_t begin, size_t end) {
-    INCOGNITO_SPAN("freq.batch_scan.chunk");
+  auto scan_chunk = [&](int w, size_t begin, size_t end) {
+    INCOGNITO_SPAN("freq.scan.chunk");
     const size_t wi = static_cast<size_t>(w);
     GovernorShard* shard = governor != nullptr ? shards[wi].get() : nullptr;
     if (shard != nullptr) {
       if (!shard->Check().ok()) return;
       // Fault site "freq.batch.scan": an injected allocation failure at
-      // the start of a worker's row chunk latches like a refused charge;
-      // sibling chunks stop at their next checkpoint.
+      // the start of a row chunk latches like a refused charge; sibling
+      // chunks stop at their next checkpoint.
       if (INCOGNITO_FAULT_FIRED("freq.batch.scan")) {
         governor->LatchInjectedFailure("freq.batch.scan");
         return;
       }
     }
     const size_t chunk_rows = end - begin;
-    // Monotonic footprint ledger shared by every node this worker feeds:
-    // radix outputs charge as they finish, map growth at checkpoints.
+    if (chunk_rows == 0) return;
+    // Monotonic footprint ledger over every node this chunk feeds:
+    // finished partials plus the live flat map.
     int64_t charged = 0;
-    int64_t radix_bytes = 0;
+    int64_t done_bytes = 0;
     auto charge_to = [&](int64_t now) {
       if (shard == nullptr) return true;
       if (now > charged) {
@@ -605,7 +155,9 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
       }
       return true;
     };
-    if (any_radix && chunk_rows > 0) {
+    if (any_packed) {
+      // The gather + scratch buffers are charged before they exist and
+      // released when they die.
       const int64_t buffer_bytes =
           static_cast<int64_t>(2 * chunk_rows * sizeof(uint64_t));
       if (shard != nullptr && !shard->ChargeMemory(buffer_bytes).ok()) return;
@@ -618,79 +170,48 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
         std::vector<uint64_t> keys;
         std::vector<uint64_t> scratch;
         for (size_t j = 0; j < b && ok; ++j) {
-          if (choice[j] != SubstrateChoice::kRadixSort) continue;
+          if (!out[j].packed_) continue;
+          // Order-preserving packing makes the sorted key run the
+          // canonical group order, so run-length extraction finishes it.
           GatherPackedKeys(cols[j], maps[j], out[j].codec_, begin, end,
                            &keys);
-          if (!RadixSortKeys(keys, scratch, out[j].codec_.total_bits(),
-                             tick)) {
-            ok = false;
-            break;
+          ok = RadixSortKeys(keys, scratch, out[j].codec_.total_bits(), tick);
+          if (ok) {
+            const size_t groups = ExtractGroups(keys, &wpart[wi][j]);
+            done_bytes += static_cast<int64_t>(
+                groups * sizeof(std::pair<uint64_t, int64_t>));
+            ok = charge_to(done_bytes);
           }
-          const size_t groups = ExtractGroups(keys, &wpart[wi][j]);
-          radix_bytes += static_cast<int64_t>(
-              groups * sizeof(std::pair<uint64_t, int64_t>));
-          ok = charge_to(radix_bytes);
         }
       }
       if (shard != nullptr) shard->ReleaseMemory(buffer_bytes);
       if (!ok) return;
     }
-    if (!any_rowloop) return;
-    auto checkpoint = [&]() {
-      if (shard == nullptr) return true;
-      if (!shard->Check().ok()) return false;
-      int64_t now = radix_bytes;
-      for (size_t j = 0; j < b; ++j) {
-        switch (choice[j]) {
-          case SubstrateChoice::kRadixSort:
-            break;
-          case SubstrateChoice::kFlatMap:
-            if (wflat[wi][j] != nullptr) {
-              now += static_cast<int64_t>(wflat[wi][j]->MemoryBytes());
-            }
-            break;
-          case SubstrateChoice::kHashMap: {
-            const size_t groups =
-                out[j].packed_ ? wagg[wi][j].size() : wvagg[wi][j].size();
-            now += static_cast<int64_t>(groups * entry_bytes[j]);
-            break;
-          }
-        }
-      }
-      return charge_to(now);
-    };
-    std::vector<std::vector<int32_t>> codes(b);
     for (size_t j = 0; j < b; ++j) {
-      if (choice[j] == SubstrateChoice::kRadixSort) continue;
-      codes[j].resize(nodes[j].size());
-      if (choice[j] == SubstrateChoice::kFlatMap) {
-        wflat[wi][j] = std::make_unique<FlatCodeMap>(nodes[j].size(),
-                                                     chunk_rows / 4 + 8);
-      } else if (out[j].packed_) {
-        wagg[wi][j].reserve(chunk_rows / 4 + 8);
-      } else {
-        wvagg[wi][j].reserve(chunk_rows / 4 + 8);
+      if (out[j].packed_) continue;
+      const size_t n = nodes[j].size();
+      wflat[wi][j] = std::make_unique<FlatCodeMap>(n, chunk_rows / 4 + 8);
+      FlatCodeMap& agg = *wflat[wi][j];
+      auto checkpoint = [&] {
+        if (shard == nullptr) return true;
+        return shard->Check().ok() &&
+               charge_to(done_bytes + static_cast<int64_t>(agg.MemoryBytes()));
+      };
+      std::vector<int32_t> codes(n);
+      for (size_t r = begin; r < end; ++r) {
+        if ((r - begin) % kCheckEveryRows == 0 && !checkpoint()) return;
+        for (size_t i = 0; i < n; ++i) codes[i] = maps[j][i][cols[j][i][r]];
+        agg.Add(codes.data(), 1);
       }
+      if (!checkpoint()) return;
+      done_bytes += static_cast<int64_t>(agg.MemoryBytes());
     }
-    for (size_t r = begin; r < end; ++r) {
-      if ((r - begin) % kCheckEveryRows == 0 && !checkpoint()) return;
-      for (size_t j = 0; j < b; ++j) {
-        if (choice[j] == SubstrateChoice::kRadixSort) continue;
-        const size_t n = nodes[j].size();
-        for (size_t i = 0; i < n; ++i) {
-          codes[j][i] = maps[j][i][cols[j][i][r]];
-        }
-        if (choice[j] == SubstrateChoice::kFlatMap) {
-          wflat[wi][j]->Add(codes[j].data(), 1);
-        } else if (out[j].packed_) {
-          ++wagg[wi][j][out[j].codec_.Pack(codes[j].data())];
-        } else {
-          ++wvagg[wi][j][codes[j]];
-        }
-      }
-    }
-    checkpoint();
-  });
+  };
+  if (workers > 1) {
+    pool->Run(rows, scan_chunk);
+  } else {
+    scan_chunk(0, 0, rows);
+  }
 
   // Transient charges return to the governor here; a trip (if any) is
   // already latched shared, so the caller's SharedTrip() check sees it.
@@ -700,51 +221,79 @@ std::vector<FrequencySet> FrequencySet::ComputeBatch(
     return out;
   }
 
-  // Merge each node in worker-id order, coalesce equal keys, and
-  // canonically sort — the exact ComputeParallel merge, so the capacity
-  // (hence MemoryBytes()) matches the serial single-node scan.
+  // Merge each node's partials in worker-id order, coalesce equal keys and
+  // sort canonically into an exact-capacity array. One packed partial is
+  // already that: ExtractGroups reserved exactly into an empty vector.
   for (size_t j = 0; j < b; ++j) {
-    if (out[j].packed_) {
+    FrequencySet& fs = out[j];
+    if (fs.packed_ && workers == 1) {
+      fs.groups_ = std::move(wpart[0][j]);
+    } else if (fs.packed_) {
       std::vector<std::pair<uint64_t, int64_t>> all;
       size_t total = 0;
-      if (choice[j] == SubstrateChoice::kRadixSort) {
-        for (size_t w = 0; w < workers; ++w) total += wpart[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wpart[w][j].begin(), wpart[w][j].end());
-        }
-      } else {
-        for (size_t w = 0; w < workers; ++w) total += wagg[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wagg[w][j].begin(), wagg[w][j].end());
-        }
+      for (size_t w = 0; w < workers; ++w) total += wpart[w][j].size();
+      all.reserve(total);
+      for (size_t w = 0; w < workers; ++w) {
+        all.insert(all.end(), wpart[w][j].begin(), wpart[w][j].end());
       }
       std::sort(all.begin(), all.end());
-      CoalescePacked(all, &out[j].groups_);
+      Coalesce(all, &fs.groups_);
     } else {
       std::vector<std::pair<std::vector<int32_t>, int64_t>> all;
       size_t total = 0;
-      if (choice[j] == SubstrateChoice::kFlatMap) {
-        for (size_t w = 0; w < workers; ++w) {
-          total += wflat[w][j] != nullptr ? wflat[w][j]->size() : 0;
-        }
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          if (wflat[w][j] != nullptr) wflat[w][j]->AppendTo(&all);
-        }
-      } else {
-        for (size_t w = 0; w < workers; ++w) total += wvagg[w][j].size();
-        all.reserve(total);
-        for (size_t w = 0; w < workers; ++w) {
-          all.insert(all.end(), wvagg[w][j].begin(), wvagg[w][j].end());
-        }
+      for (size_t w = 0; w < workers; ++w) {
+        total += wflat[w][j] != nullptr ? wflat[w][j]->size() : 0;
+      }
+      all.reserve(total);
+      for (size_t w = 0; w < workers; ++w) {
+        if (wflat[w][j] != nullptr) wflat[w][j]->AppendTo(&all);
       }
       std::sort(all.begin(), all.end());
-      CoalesceVec(all, &out[j].vgroups_);
+      Coalesce(all, &fs.vgroups_);
     }
-    out[j].total_count_ = static_cast<int64_t>(rows);
+    fs.total_count_ = static_cast<int64_t>(rows);
   }
+  return out;
+}
+
+FrequencySet FrequencySet::Compute(const Table& table,
+                                   const QuasiIdentifier& qid,
+                                   const SubsetNode& node) {
+  INCOGNITO_COUNT("freq.scans");
+  return std::move(ComputeBatch(table, qid, {node})[0]);
+}
+
+template <typename Recode>
+FrequencySet FrequencySet::Regroup(const SubsetNode& target,
+                                   const QuasiIdentifier& qid,
+                                   Recode recode) const {
+  FrequencySet out = MakeEmpty(target, qid);
+  std::vector<int32_t> codes(target.size());
+  if (out.packed_) {
+    // Weighted radix: pack each source group's target codes once,
+    // stable-sort the (key, count) pairs, coalesce. Order-preserving
+    // packing again makes the sorted run the canonical order.
+    std::vector<std::pair<uint64_t, int64_t>> items;
+    items.reserve(NumGroups());
+    ForEachGroup([&](const int32_t* src, int64_t count) {
+      recode(src, codes.data());
+      items.emplace_back(out.codec_.Pack(codes.data()), count);
+    });
+    std::vector<std::pair<uint64_t, int64_t>> scratch;
+    RadixSortCounted(items, scratch, out.codec_.total_bits());
+    Coalesce(items, &out.groups_);
+  } else {
+    // Regrouping only merges groups, so the source group count bounds the
+    // output size.
+    FlatCodeMap agg(target.size(), NumGroups());
+    ForEachGroup([&](const int32_t* src, int64_t count) {
+      recode(src, codes.data());
+      agg.Add(codes.data(), count);
+    });
+    agg.AppendTo(&out.vgroups_);
+    out.SortGroups();
+  }
+  out.total_count_ = total_count_;
   return out;
 }
 
@@ -770,45 +319,18 @@ FrequencySet FrequencySet::RollupTo(const SubsetNode& target,
       remap[i][c] = h.GeneralizeFrom(from, static_cast<int32_t>(c), to);
     }
   }
-
-  FrequencySet out = MakeEmpty(target, qid);
-  std::unordered_map<uint64_t, int64_t> agg;
-  std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
-  // Rollup can only merge groups, so the source group count bounds the
-  // output size.
-  if (out.packed_) {
-    agg.reserve(NumGroups());
-  } else {
-    vagg.reserve(NumGroups());
-  }
-  std::vector<int32_t> codes(n);
-  ForEachGroup([&](const int32_t* src, int64_t count) {
+  return Regroup(target, qid, [&](const int32_t* src, int32_t* dst) {
     for (size_t i = 0; i < n; ++i) {
-      codes[i] = remap[i][static_cast<size_t>(src[i])];
-    }
-    if (out.packed_) {
-      agg[out.codec_.Pack(codes.data())] += count;
-    } else {
-      vagg[codes] += count;
+      dst[i] = remap[i][static_cast<size_t>(src[i])];
     }
   });
-  if (out.packed_) {
-    out.groups_.assign(agg.begin(), agg.end());
-  } else {
-    out.vgroups_.assign(vagg.begin(), vagg.end());
-  }
-  out.SortGroups();
-  out.total_count_ = total_count_;
-  return out;
 }
 
 FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
-                                     const QuasiIdentifier& qid,
-                                     SubstrateMode substrate) const {
+                                     const QuasiIdentifier& qid) const {
   INCOGNITO_SPAN("freq.projection");
   INCOGNITO_PHASE_TIMER("phase.projection_seconds");
   INCOGNITO_COUNT("freq.projections");
-  const size_t n = node_.size();
   const size_t m = target.size();
   // Positions of the kept dims within this node's dim list.
   std::vector<size_t> pos(m);
@@ -818,67 +340,11 @@ FrequencySet FrequencySet::ProjectTo(const SubsetNode& target,
     pos[j] = static_cast<size_t>(it - node_.dims.begin());
     assert(target.levels[j] == node_.levels[pos[j]]);
   }
-  (void)n;
-
-  FrequencySet out = MakeEmpty(target, qid);
-  // A projection's input size is this set's group count, not the table.
-  const SubstrateChoice choice = ChoiceFor(out.codec_, NumGroups(), substrate);
-  CountSubstrate(choice);
-  std::vector<int32_t> codes(m);
-  switch (choice) {
-    case SubstrateChoice::kRadixSort: {
-      // Weighted radix: pack each source group's kept codes once, stable-
-      // sort the (key, count) pairs, coalesce. Order-preserving packing
-      // again makes the sorted run the canonical order.
-      std::vector<std::pair<uint64_t, int64_t>> items;
-      items.reserve(NumGroups());
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        items.emplace_back(out.codec_.Pack(codes.data()), count);
-      });
-      std::vector<std::pair<uint64_t, int64_t>> scratch;
-      RadixSortCounted(items, scratch, out.codec_.total_bits());
-      CoalescePacked(items, &out.groups_);
-      break;
-    }
-    case SubstrateChoice::kFlatMap: {
-      FlatCodeMap agg(m, NumGroups());
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        agg.Add(codes.data(), count);
-      });
-      agg.AppendTo(&out.vgroups_);
-      out.SortGroups();
-      break;
-    }
-    case SubstrateChoice::kHashMap: {
-      std::unordered_map<uint64_t, int64_t> agg;
-      std::unordered_map<std::vector<int32_t>, int64_t, VecHash> vagg;
-      // Projection sums groups away, so the source group count is an upper
-      // bound here too.
-      if (out.packed_) {
-        agg.reserve(NumGroups());
-      } else {
-        vagg.reserve(NumGroups());
-      }
-      ForEachGroup([&](const int32_t* src, int64_t count) {
-        for (size_t j = 0; j < m; ++j) codes[j] = src[pos[j]];
-        if (out.packed_) {
-          agg[out.codec_.Pack(codes.data())] += count;
-        } else {
-          vagg[codes] += count;
-        }
-      });
-      if (out.packed_) {
-        out.groups_.assign(agg.begin(), agg.end());
-      } else {
-        out.vgroups_.assign(vagg.begin(), vagg.end());
-      }
-      out.SortGroups();
-      break;
-    }
-  }
-  out.total_count_ = total_count_;
+  FrequencySet out = Regroup(target, qid, [&](const int32_t* src,
+                                              int32_t* dst) {
+    for (size_t j = 0; j < m; ++j) dst[j] = src[pos[j]];
+  });
+  CountEngine(out.codec_);
   return out;
 }
 

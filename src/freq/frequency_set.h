@@ -7,7 +7,6 @@
 
 #include "core/quasi_identifier.h"
 #include "freq/key_codec.h"
-#include "freq/substrate.h"
 #include "lattice/node.h"
 #include "relation/table.h"
 
@@ -34,68 +33,42 @@ class FrequencySet {
  public:
   FrequencySet() = default;
 
-  /// Computes the frequency set by scanning the table once — the paper's
-  /// COUNT(*) GROUP BY query. `node` selects the participating attributes
-  /// (dims, as QID indices) and the generalization level of each.
+  /// Scan-sharing group-by build — the paper's COUNT(*) GROUP BY query,
+  /// for several nodes from ONE pass over the table (docs/PARALLELISM.md
+  /// "Scan-sharing batch evaluation"). Each node selects the participating
+  /// attributes (dims, as QID indices) and the generalization level of
+  /// each; result[j] is the frequency set of nodes[j], in canonical group
+  /// order with an exact-capacity group array (so MemoryBytes() does not
+  /// depend on how the build was split).
   ///
-  /// `substrate` picks the group-by engine (DESIGN.md "Group-by
-  /// substrates"); every mode produces the identical frequency set —
-  /// groups, counts, canonical order, and MemoryBytes() — so the default
-  /// kAuto simply chooses the fastest engine for the key shape.
-  static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
-                              const SubsetNode& node,
-                              SubstrateMode substrate = SubstrateMode::kAuto);
-
-  /// Parallel twin of Compute (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): statically partitions the rows into one chunk per pool
-  /// worker, aggregates each chunk into a thread-local map, then merges in
-  /// worker-id order and canonically sorts — bit-identical to Compute at
-  /// any thread count, including the group order and MemoryBytes().
+  /// The engine follows the key width alone (DESIGN.md "Group-by
+  /// engine"): keys that pack into 64 bits are gathered column-wise,
+  /// radix-sorted and run-length coalesced; wider keys aggregate in a
+  /// FlatCodeMap and are then sorted.
   ///
-  /// When `governor` is non-null the scan is governed: each worker charges
-  /// its local map's running footprint to a private GovernorShard
-  /// (transient — drained before returning, so the caller charges the
-  /// final set exactly as on the serial path), polls for
-  /// deadline/cancel/shared trips every few thousand rows, and consults
-  /// the "freq.scan.chunk" fault site once per chunk. A tripped scan
-  /// latches the governor and returns an empty frequency set; callers
-  /// detect it via governor->Check() / a failed charge.
-  /// Under SubstrateChoice::kRadixSort each worker gathers and radix-sorts
-  /// its chunk instead of probing a map; the sort buffers are charged to
-  /// the worker's shard up front and released when the buffers die, so the
-  /// budget observes the transient sort memory exactly like map growth
-  /// (the mid-sort trip point of tests/substrate_test.cc).
-  static FrequencySet ComputeParallel(const Table& table,
-                                      const QuasiIdentifier& qid,
-                                      const SubsetNode& node, WorkerPool& pool,
-                                      ExecutionGovernor* governor = nullptr,
-                                      SubstrateMode substrate =
-                                          SubstrateMode::kAuto);
-
-  /// Scan-sharing batch build (docs/PARALLELISM.md "Scan-sharing batch
-  /// evaluation"): computes the frequency sets of several nodes from ONE
-  /// pass over the table — per row, each node's projected key is packed and
-  /// its group map updated — so a whole lattice level's scan-required nodes
-  /// cost one scan instead of one each. result[j] is bit-identical to
-  /// Compute(table, qid, nodes[j]), including the canonical group order and
-  /// the exact MemoryBytes() (the merge uses the same two-pass
-  /// count-unique reserve as ComputeParallel).
+  /// A null or one-worker `pool` scans the rows as one chunk; a larger
+  /// pool splits them into one chunk per worker and merges the per-worker
+  /// partial sets in worker-id order. When `governor` is non-null the scan
+  /// is governed: each chunk charges its transient state — the radix
+  /// buffers (2 * chunk_rows * 8 bytes, up front), the extracted groups,
+  /// the flat maps' growth — to a private GovernorShard that drains before
+  /// returning, polls for deadline/cancel/shared trips between radix
+  /// passes and every few thousand flat-map rows, and consults the
+  /// "freq.batch.scan" fault site once per chunk. The caller charges the
+  /// finished sets. A tripped scan latches the governor and returns
+  /// all-empty sets; callers detect it via governor->SharedTrip().
   ///
-  /// With a non-null `pool` of size > 1 the rows are chunked across the
-  /// workers exactly like ComputeParallel (thread-local per-node maps,
-  /// worker-id-order merge + canonical sort). When `governor` is non-null
-  /// the scan is governed: the parallel path charges every node's running
-  /// map footprint to transient per-worker shards (drained before
-  /// returning) and polls for trips every few thousand rows; both paths
-  /// consult the "freq.batch.scan" fault site (once per chunk when
-  /// parallel, once up front when serial). A tripped batch latches the
-  /// governor and returns all-empty sets; callers detect it via
-  /// governor->SharedTrip().
+  /// The scan counts its rows (freq.scan_rows) and, when pool-parallel,
+  /// its chunks; callers count what the pass was for — freq.scans for a
+  /// one-node scan, freq.batch_scans for a search level's shared pass.
   static std::vector<FrequencySet> ComputeBatch(
       const Table& table, const QuasiIdentifier& qid,
       const std::vector<SubsetNode>& nodes, WorkerPool* pool = nullptr,
-      ExecutionGovernor* governor = nullptr,
-      SubstrateMode substrate = SubstrateMode::kAuto);
+      ExecutionGovernor* governor = nullptr);
+
+  /// One-node, serial, ungoverned convenience over ComputeBatch.
+  static FrequencySet Compute(const Table& table, const QuasiIdentifier& qid,
+                              const SubsetNode& node);
 
   /// Produces the frequency set of a more general node over the same
   /// attribute set *from this frequency set* without touching the table —
@@ -110,8 +83,8 @@ class FrequencySet {
   /// aggregation; the Subset Property's relational counterpart, used to
   /// build the zero-generalization cube). Requires target.dims ⊆
   /// node().dims and matching levels on the kept dims.
-  FrequencySet ProjectTo(const SubsetNode& target, const QuasiIdentifier& qid,
-                         SubstrateMode substrate = SubstrateMode::kAuto) const;
+  FrequencySet ProjectTo(const SubsetNode& target,
+                         const QuasiIdentifier& qid) const;
 
   /// The generalization this frequency set is with respect to.
   const SubsetNode& node() const { return node_; }
@@ -157,6 +130,13 @@ class FrequencySet {
 
   /// Sorts groups_/vgroups_ into canonical order (see class comment).
   void SortGroups();
+
+  /// Shared body of RollupTo and ProjectTo: re-keys every group with
+  /// recode(source codes, target codes) and sums the counts of groups
+  /// that land on the same target key.
+  template <typename Recode>
+  FrequencySet Regroup(const SubsetNode& target, const QuasiIdentifier& qid,
+                       Recode recode) const;
 
   SubsetNode node_;
   KeyCodec codec_;

@@ -1,85 +1,9 @@
 #include "freq/substrate.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 namespace incognito {
-
-const char* SubstrateModeName(SubstrateMode mode) {
-  switch (mode) {
-    case SubstrateMode::kHash:
-      return "hash";
-    case SubstrateMode::kRadix:
-      return "radix";
-    case SubstrateMode::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-bool ParseSubstrateMode(const std::string& text, SubstrateMode* out) {
-  if (text == "hash") {
-    *out = SubstrateMode::kHash;
-  } else if (text == "radix") {
-    *out = SubstrateMode::kRadix;
-  } else if (text == "auto") {
-    *out = SubstrateMode::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* SubstrateChoiceName(SubstrateChoice choice) {
-  switch (choice) {
-    case SubstrateChoice::kHashMap:
-      return "hash-map";
-    case SubstrateChoice::kRadixSort:
-      return "radix-sort";
-    case SubstrateChoice::kFlatMap:
-      return "flat-map";
-  }
-  return "?";
-}
-
-size_t EstimateKeySpace(const std::vector<size_t>& cardinalities) {
-  constexpr size_t kCap = ~size_t{0};
-  size_t space = 1;
-  for (size_t c : cardinalities) {
-    if (c == 0) continue;
-    if (space > kCap / c) return kCap;
-    space *= c;
-  }
-  return space;
-}
-
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                size_t key_space) {
-  switch (mode) {
-    case SubstrateMode::kHash:
-      return SubstrateChoice::kHashMap;
-    case SubstrateMode::kRadix:
-      return packed ? SubstrateChoice::kRadixSort : SubstrateChoice::kFlatMap;
-    case SubstrateMode::kAuto:
-      break;
-  }
-  if (rows < kAutoMinRadixRows || key_space <= kAutoMaxHashKeySpace) {
-    return SubstrateChoice::kHashMap;
-  }
-  return packed ? SubstrateChoice::kRadixSort : SubstrateChoice::kFlatMap;
-}
-
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                 size_t key_space) {
-  if (mode == SubstrateMode::kAuto) {
-    if (const char* env = std::getenv("INCOGNITO_SUBSTRATE")) {
-      SubstrateMode forced;
-      if (ParseSubstrateMode(env, &forced)) mode = forced;
-    }
-  }
-  return ChooseSubstrate(mode, packed, rows, key_space);
-}
 
 void GatherPackedKeys(const std::vector<const int32_t*>& cols,
                       const std::vector<const int32_t*>& maps,
@@ -104,19 +28,6 @@ void GatherPackedKeys(const std::vector<const int32_t*>& cols,
 
 namespace {
 
-/// Histograms every 8-bit digit of the low `passes` bytes in one pass.
-void DigitHistograms(const uint64_t* keys, size_t n, size_t passes,
-                     size_t (*hist)[256]) {
-  std::memset(hist, 0, passes * 256 * sizeof(size_t));
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t k = keys[i];
-    for (size_t p = 0; p < passes; ++p) {
-      ++hist[p][k & 0xff];
-      k >>= 8;
-    }
-  }
-}
-
 /// True when the digit's histogram puts every key in one bucket, so the
 /// scatter pass would be the identity permutation.
 bool SingleBucket(const size_t* h, size_t n) {
@@ -127,61 +38,28 @@ bool SingleBucket(const size_t* h, size_t n) {
   return n == 0;
 }
 
-}  // namespace
-
-bool RadixSortKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& scratch,
-                   size_t total_bits, const std::function<bool()>& tick) {
-  const size_t n = keys.size();
-  const size_t passes = (total_bits + 7) / 8;
-  if (n < 2 || passes == 0) return true;
-  scratch.resize(n);
-  size_t hist[8][256];
-  DigitHistograms(keys.data(), n, passes, hist);
-  uint64_t* src = keys.data();
-  uint64_t* dst = scratch.data();
-  bool in_keys = true;
-  for (size_t p = 0; p < passes; ++p) {
-    if (SingleBucket(hist[p], n)) continue;
-    if (tick && !tick()) {
-      if (!in_keys) keys.swap(scratch);
-      return false;
-    }
-    size_t offsets[256];
-    size_t sum = 0;
-    for (size_t b = 0; b < 256; ++b) {
-      offsets[b] = sum;
-      sum += hist[p][b];
-    }
-    const size_t shift = p * 8;
-    for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i] >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-    in_keys = !in_keys;
-  }
-  if (!in_keys) keys.swap(scratch);
-  return true;
-}
-
-bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
-                      std::vector<std::pair<uint64_t, int64_t>>& scratch,
-                      size_t total_bits, const std::function<bool()>& tick) {
-  using Item = std::pair<uint64_t, int64_t>;
+/// The shared LSD radix sort behind RadixSortKeys and RadixSortCounted:
+/// `key_of` extracts the sort key of an item.
+template <typename T, typename KeyOf>
+bool LsdRadixSort(std::vector<T>& items, std::vector<T>& scratch,
+                  size_t total_bits, const std::function<bool()>& tick,
+                  KeyOf key_of) {
   const size_t n = items.size();
   const size_t passes = (total_bits + 7) / 8;
   if (n < 2 || passes == 0) return true;
   scratch.resize(n);
+  // Every digit's histogram comes from one pre-pass.
   size_t hist[8][256];
   std::memset(hist, 0, passes * 256 * sizeof(size_t));
   for (size_t i = 0; i < n; ++i) {
-    uint64_t k = items[i].first;
+    uint64_t k = key_of(items[i]);
     for (size_t p = 0; p < passes; ++p) {
       ++hist[p][k & 0xff];
       k >>= 8;
     }
   }
-  Item* src = items.data();
-  Item* dst = scratch.data();
+  T* src = items.data();
+  T* dst = scratch.data();
   bool in_items = true;
   for (size_t p = 0; p < passes; ++p) {
     if (SingleBucket(hist[p], n)) continue;
@@ -197,13 +75,29 @@ bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
     }
     const size_t shift = p * 8;
     for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].first >> shift) & 0xff]++] = src[i];
+      dst[offsets[(key_of(src[i]) >> shift) & 0xff]++] = src[i];
     }
     std::swap(src, dst);
     in_items = !in_items;
   }
   if (!in_items) items.swap(scratch);
   return true;
+}
+
+}  // namespace
+
+bool RadixSortKeys(std::vector<uint64_t>& keys, std::vector<uint64_t>& scratch,
+                   size_t total_bits, const std::function<bool()>& tick) {
+  return LsdRadixSort(keys, scratch, total_bits, tick,
+                      [](uint64_t k) { return k; });
+}
+
+bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
+                      std::vector<std::pair<uint64_t, int64_t>>& scratch,
+                      size_t total_bits, const std::function<bool()>& tick) {
+  return LsdRadixSort(
+      items, scratch, total_bits, tick,
+      [](const std::pair<uint64_t, int64_t>& item) { return item.first; });
 }
 
 size_t ExtractGroups(const std::vector<uint64_t>& keys,

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,65 +11,11 @@
 
 namespace incognito {
 
-/// Which group-by engine backs a frequency-set build (DESIGN.md "Group-by
-/// substrates"). The substrates are bit-identical — groups, counts,
-/// canonical order, MemoryBytes() — so the knob is purely a performance
-/// choice; tests/substrate_test.cc is the differential proof.
-enum class SubstrateMode {
-  kHash,   ///< per-row std::unordered_map probes (the original path)
-  kRadix,  ///< columnar gather + LSD radix sort (flat arena map when wide)
-  kAuto,   ///< choose by key width / row count / key space (the default)
-};
-
-const char* SubstrateModeName(SubstrateMode mode);
-
-/// Parses "hash" / "radix" / "auto"; false on anything else.
-bool ParseSubstrateMode(const std::string& text, SubstrateMode* out);
-
-/// The concrete engine a build resolves to.
-enum class SubstrateChoice {
-  kHashMap,    ///< std::unordered_map per-row probes
-  kRadixSort,  ///< packed keys: columnar gather, LSD radix, run-length
-  kFlatMap,    ///< vector keys: open-addressing map over an int32 arena
-};
-
-const char* SubstrateChoiceName(SubstrateChoice choice);
-
-// --- The kAuto decision table. Pinned by the SubstrateAuto unit tests and
-// --- published as the substrate_crossover_* derived keys of
-// --- bench_micro_substrate, so retuning a constant is machine-visible in
-// --- the bench_diff gate.
-
-/// Below this many rows the hash map wins: it stays cache-resident and the
-/// radix path's gather + sort passes cost more than they save.
-constexpr size_t kAutoMinRadixRows = 4096;
-
-/// With at most this many *possible* groups (the product of the per-dim
-/// cardinalities) the hash map also wins: every probe hits a hot bucket
-/// while radix still pays its full per-row pass structure.
-constexpr size_t kAutoMaxHashKeySpace = 256;
-
-/// Saturating product of the per-dimension cardinalities: the number of
-/// possible groups, an upper bound on what a scan can produce (the row
-/// count is the other bound).
-size_t EstimateKeySpace(const std::vector<size_t>& cardinalities);
-
-/// Resolves a mode to a concrete engine. Pure — no environment lookup:
-///   kHash  -> kHashMap
-///   kRadix -> kRadixSort when packed, else kFlatMap
-///   kAuto  -> kHashMap for tiny tables (rows < kAutoMinRadixRows) or tiny
-///             key spaces (<= kAutoMaxHashKeySpace); kFlatMap for unpacked
-///             (wide/vector) keys; kRadixSort otherwise.
-SubstrateChoice ChooseSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                size_t key_space);
-
-/// ChooseSubstrate with the INCOGNITO_SUBSTRATE environment override
-/// applied first: when `mode` is kAuto and the variable is set to "hash"
-/// or "radix", that mode is resolved instead — CI uses it to drive the
-/// whole suite down one substrate without touching call sites. Explicit
-/// modes always win over the environment; unknown values are ignored.
-SubstrateChoice ResolveSubstrate(SubstrateMode mode, bool packed, size_t rows,
-                                 size_t key_space);
+/// The group-by kernels behind every frequency-set build (DESIGN.md
+/// "Group-by engine"). The engine is fixed by the key width, never by an
+/// option: keys that pack into 64 bits (KeyCodec::packed()) take the
+/// columnar gather, LSD radix sort and run-length extraction below; wider
+/// keys take FlatCodeMap and then a sort.
 
 // --- Radix kernels (packed uint64 keys) ---
 
@@ -103,8 +48,8 @@ bool RadixSortCounted(std::vector<std::pair<uint64_t, int64_t>>& items,
 
 /// Run-length extracts sorted `keys` into (key, count) groups appended to
 /// `out` with an exact-capacity reserve (pass it empty to get capacity ==
-/// group count, the hash substrate's assign-from-map capacity). Returns
-/// the number of groups appended.
+/// group count, which MemoryBytes() relies on). Returns the number of
+/// groups appended.
 size_t ExtractGroups(const std::vector<uint64_t>& keys,
                      std::vector<std::pair<uint64_t, int64_t>>* out);
 

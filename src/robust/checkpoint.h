@@ -56,9 +56,8 @@ struct CheckpointPolicy {
 };
 
 /// Identifies the run a checkpoint belongs to. Everything that changes the
-/// search outcome participates; thread count and substrate do NOT (every
-/// thread count and substrate is bit-identical, so checkpoints are portable
-/// across them).
+/// search outcome participates; the thread count does NOT (every thread
+/// count is bit-identical, so checkpoints are portable across them).
 struct CheckpointFingerprint {
   int64_t k = 0;
   int64_t max_suppressed = 0;

@@ -186,10 +186,10 @@ class ExecutionGovernor {
   // The serial methods above touch trip state without locking, which is
   // fine for the single-threaded search loops. Parallel search instead
   // gives each worker a GovernorShard; shards reach the shared budget only
-  // through the three calls below (an atomic budget operation plus a
-  // mutex-guarded trip latch), so worker threads never race the governor's
-  // plain members. The parallel driver itself only calls the serial
-  // methods while the worker pool is quiescent.
+  // through the calls below (atomic budget operations plus mutex-guarded
+  // trip state), so worker threads never race the governor's plain
+  // members. The parallel driver itself only calls the serial methods
+  // while the worker pool is quiescent.
 
   /// Leases `bytes` straight from the memory budget without touching trip
   /// state. Returns false when the budget refuses. Thread-safe.
@@ -207,8 +207,8 @@ class ExecutionGovernor {
   Status SharedTrip() const;
 
   /// Folds a drained shard's trip counters into this governor's totals so
-  /// ExportTrips reflects the whole parallel run. Call only while the
-  /// worker pool is quiescent (GovernorShard::Drain does).
+  /// ExportTrips reflects the whole parallel run. Thread-safe: scans inside
+  /// concurrent subset tasks drain their shards from worker threads.
   void AbsorbShardTrips(const GovernorTrips& trips);
 
  private:
@@ -217,7 +217,8 @@ class ExecutionGovernor {
   MemoryBudget memory_;
   GovernorTrips trips_;
   Status trip_;  // first trip, latched
-  mutable std::mutex shared_mu_;  // guards trip_ for the shard-side calls
+  // Guards trip_ and trips_ for the shard-side calls.
+  mutable std::mutex shared_mu_;
 };
 
 /// A worker-local view of a shared ExecutionGovernor for parallel search

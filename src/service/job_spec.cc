@@ -144,8 +144,6 @@ std::string JobSpecToJson(const JobSpec& spec) {
   out += ",\"memory_budget_bytes\":" +
          std::to_string(spec.exec.memory_budget_bytes);
   out += ",\"threads\":" + std::to_string(spec.exec.num_threads);
-  out += ",\"substrate\":" +
-         JsonString(SubstrateModeName(spec.exec.substrate));
   out += ",\"checkpoint\":" + JsonString(spec.exec.checkpoint.path);
   out += ",\"checkpoint_interval_ms\":" +
          std::to_string(spec.exec.checkpoint.interval_ms);
@@ -208,12 +206,6 @@ Result<JobSpec> JobSpecFromJson(const JsonValue& value) {
       spec.exec.memory_budget_bytes = Int64Field(v);
     } else if (key == "threads") {
       spec.exec.num_threads = static_cast<int>(Int64Field(v));
-    } else if (key == "substrate") {
-      if (!ParseSubstrateMode(v.StringOr(""), &spec.exec.substrate)) {
-        return Status::InvalidArgument(
-            "bad \"substrate\" value '" + v.StringOr("") +
-            "' (want hash, radix, or auto)");
-      }
     } else if (key == "checkpoint") {
       spec.exec.checkpoint.path = v.StringOr("");
     } else if (key == "checkpoint_interval_ms") {

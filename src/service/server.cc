@@ -150,29 +150,36 @@ void ServiceServer::AcceptLoop() {
 void ServiceServer::HandleConnection(int fd) {
   std::string buffer;
   char chunk[4096];
-  for (;;) {
+  // False once the connection must be dropped: a reply failed to write (a
+  // torn reply is worse than a dropped connection — the client
+  // re-connects and re-polls, every op is idempotent or keyed) or the
+  // client overran the request-line cap.
+  bool open = true;
+  while (open) {
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // client closed (or Stop() shut the socket down)
     buffer.append(chunk, static_cast<size_t>(n));
     size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while (open && (newline = buffer.find('\n')) != std::string::npos &&
+           newline <= kMaxRequestLineBytes) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (line.empty()) continue;
-      std::string reply = HandleRequest(line);
-      Status written = WriteReplyLine(fd, reply);
-      if (!written.ok()) {
-        // A torn reply is worse than a dropped connection: the client
-        // re-connects and re-polls (every op is idempotent or keyed).
-        ::shutdown(fd, SHUT_RDWR);
-        std::lock_guard<std::mutex> lock(conn_mu_);
-        open_fds_.erase(fd);
-        ::close(fd);
-        return;
-      }
+      open = WriteReplyLine(fd, HandleRequest(line)).ok();
+    }
+    // Whatever is left starts with a line that has no '\n' yet, or one
+    // longer than the cap; past the cap it can never be served, so the
+    // connection closes whether or not the error reply gets through.
+    if (open && buffer.size() > kMaxRequestLineBytes) {
+      WriteReplyLine(fd, ErrorReply(Status::InvalidArgument(
+                             "request line exceeds " +
+                             std::to_string(kMaxRequestLineBytes) +
+                             " bytes")));
+      open = false;
     }
   }
+  if (!open) ::shutdown(fd, SHUT_RDWR);
   std::lock_guard<std::mutex> lock(conn_mu_);
   open_fds_.erase(fd);
   ::close(fd);

@@ -2,6 +2,7 @@
 #define INCOGNITO_SERVICE_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <set>
 #include <string>
@@ -17,6 +18,12 @@ namespace incognito {
 /// writes. Fault site "service.reply.write" (IOError); a failed write
 /// closes the connection rather than leaving a partial line on the wire.
 Status WriteReplyLine(int fd, const std::string& json);
+
+/// The longest request line the daemon buffers. A client that sends more
+/// bytes than this without a '\n' gets one InvalidArgument error reply and
+/// the connection is closed, so no client can grow daemon memory without
+/// bound.
+constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 /// Newline-delimited-JSON front-end over a Unix-domain socket: each
 /// request is one JSON object on one line, each reply is one JSON object

@@ -1,9 +1,9 @@
 // The execution-shape matrix: one table-driven harness that runs the
 // Incognito search in every execution shape — worker threads {1, 2, 4, 8}
-// x variant x scan batching on/off x group-by substrate {hash, radix,
-// auto} x {ungoverned, governed with a generous budget, resumed from a
-// mid-run checkpoint} — and checks every row against the brute-force
-// oracle and its deterministic counters against the one-worker run.
+// x variant x scan batching on/off x {ungoverned, governed with a generous
+// budget, resumed from a mid-run checkpoint} — and checks every row
+// against the brute-force oracle and its deterministic counters against
+// the one-worker run.
 //
 // Also here: an 18-attribute QID, whose subset DAG only stays small
 // because subsets with an empty sub-subset are never materialized, run
@@ -45,14 +45,12 @@ struct Shape {
   int threads;
   IncognitoVariant variant;
   bool batch_scans;
-  SubstrateMode substrate;
   Mode mode;
 
   std::string Name() const {
     static const char* kModes[] = {"ungoverned", "governed", "resumed"};
-    return StringPrintf("threads=%d variant=%s batch=%d substrate=%s mode=%s",
-                        threads, IncognitoVariantName(variant),
-                        batch_scans ? 1 : 0, SubstrateModeName(substrate),
+    return StringPrintf("threads=%d variant=%s batch=%d mode=%s", threads,
+                        IncognitoVariantName(variant), batch_scans ? 1 : 0,
                         kModes[static_cast<int>(mode)]);
   }
 };
@@ -64,13 +62,9 @@ std::vector<Shape> AllShapes() {
          {IncognitoVariant::kBasic, IncognitoVariant::kSuperRoots,
           IncognitoVariant::kCube}) {
       for (bool batch : {true, false}) {
-        for (SubstrateMode substrate :
-             {SubstrateMode::kHash, SubstrateMode::kRadix,
-              SubstrateMode::kAuto}) {
-          for (Mode mode : {Mode::kUngoverned, Mode::kGoverned,
-                            Mode::kResumed}) {
-            shapes.push_back({threads, variant, batch, substrate, mode});
-          }
+        for (Mode mode : {Mode::kUngoverned, Mode::kGoverned,
+                          Mode::kResumed}) {
+          shapes.push_back({threads, variant, batch, mode});
         }
       }
     }
@@ -151,7 +145,8 @@ MatrixDataset MakeMatrixDataset(int index) {
       break;
     }
     case 2:
-      // Above the radix-engagement row count, so kAuto picks radix.
+      // Paper-schema attributes at a size where scans take several radix
+      // passes and pools split the rows into sizeable chunks.
       out.name = "adults-5000-qid3";
       out.data = AdultsPrefix(5000, 3);
       out.config.k = 25;
@@ -223,9 +218,7 @@ TEST_P(ExecutionMatrixTest, EveryShapeMatchesOracleAndOneWorkerCounters) {
     // Resumed rows only read the checkpoint: a long interval keeps the
     // rows from rewriting it.
     resume.interval_ms = int64_t{1} << 40;
-    RunContext ctx = RunContext()
-                         .WithWorkers(shape.threads)
-                         .WithSubstrate(shape.substrate);
+    RunContext ctx = RunContext().WithWorkers(shape.threads);
     if (shape.mode == Mode::kGoverned) {
       ctx.WithGovernor(governor)
           .WithDeadline(10 * 60 * 1000)

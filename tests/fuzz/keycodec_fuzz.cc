@@ -1,6 +1,6 @@
 // libFuzzer harness for the key codec and the radix group-by kernels: the
 // fuzzer chooses a cardinality vector and a batch of rows, and every
-// property the substrates lean on must hold — Pack/Unpack round-trips
+// property the group-by engine leans on must hold — Pack/Unpack round-trips
 // byte-stably, Pack preserves lexicographic order, and the radix
 // sort + run-length extraction groups exactly like a naive std::map
 // oracle. Any violation traps (caught by the fuzzer as a crash). Seed the

@@ -2,9 +2,8 @@
 // (src/core/incognito.cc): the worker pool, the GovernorShard lease
 // protocol, the parallel frequency-set scan and cube build, the ablation
 // switches across thread counts, and the sound partial-result contract
-// when a budget trips mid-search. The thread-count x variant x substrate
-// x batching x governance x resume matrix lives in
-// execution_matrix_test.cc.
+// when a budget trips mid-search. The thread-count x variant x batching x
+// governance x resume matrix lives in execution_matrix_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -348,8 +347,9 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: FrequencySet::ComputeParallel / ZeroGenCube::BuildParallel
-// == their serial twins, bit for bit, on every fixture dataset.
+// Differential: pool-wide FrequencySet::ComputeBatch scans and
+// ZeroGenCube::BuildParallel == their serial twins, bit for bit, on every
+// fixture dataset.
 // ---------------------------------------------------------------------------
 
 using GroupList = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
@@ -374,7 +374,7 @@ void ExpectSameFrequencySet(const FrequencySet& serial,
 /// Sweeps serial-vs-parallel scans over a representative node set of
 /// `qid` at 1/2/4/8 threads: the full bottom node, every single
 /// attribute, and the full node one level up on every dimension.
-void SweepComputeParallel(const Table& table, const QuasiIdentifier& qid) {
+void SweepPooledScans(const Table& table, const QuasiIdentifier& qid) {
   const size_t n = qid.size();
   std::vector<SubsetNode> nodes;
   std::vector<int32_t> dims(n);
@@ -394,38 +394,38 @@ void SweepComputeParallel(const Table& table, const QuasiIdentifier& qid) {
     for (const SubsetNode& node : nodes) {
       SCOPED_TRACE(node.ToString() + " threads=" + std::to_string(threads));
       FrequencySet serial = FrequencySet::Compute(table, qid, node);
-      FrequencySet parallel =
-          FrequencySet::ComputeParallel(table, qid, node, pool);
-      ExpectSameFrequencySet(serial, parallel);
+      std::vector<FrequencySet> parallel =
+          FrequencySet::ComputeBatch(table, qid, {node}, &pool);
+      ExpectSameFrequencySet(serial, parallel[0]);
     }
   }
 }
 
-TEST(ComputeParallelTest, MatchesSerialOnEveryFixture) {
+TEST(PooledScanTest, MatchesSerialOnEveryFixture) {
   {
     Result<PatientsDataset> patients = MakePatientsDataset();
     ASSERT_TRUE(patients.ok());
-    SweepComputeParallel(patients->table, patients->qid);
+    SweepPooledScans(patients->table, patients->qid);
   }
   {
     AdultsOptions adults;
     adults.num_rows = 300;
     Result<SyntheticDataset> data = MakeAdultsDataset(adults);
     ASSERT_TRUE(data.ok());
-    SweepComputeParallel(data->table, data->qid.Prefix(3));
+    SweepPooledScans(data->table, data->qid.Prefix(3));
   }
   for (uint64_t seed : {uint64_t{3}, uint64_t{17}, uint64_t{101}}) {
     Rng rng(seed);
     RandomDataset data = MakeRandomDataset(rng);
-    SweepComputeParallel(data.table, data.qid);
+    SweepPooledScans(data.table, data.qid);
   }
   {
     RandomDataset wide = testing_util::MakeWideFallbackDataset(400);
-    SweepComputeParallel(wide.table, wide.qid);
+    SweepPooledScans(wide.table, wide.qid);
   }
 }
 
-TEST(ComputeParallelTest, GovernedScanMatchesAndDrainsShardsToZero) {
+TEST(PooledScanTest, GovernedScanMatchesAndDrainsShardsToZero) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -437,17 +437,17 @@ TEST(ComputeParallelTest, GovernedScanMatchesAndDrainsShardsToZero) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 30);
-  FrequencySet parallel =
-      FrequencySet::ComputeParallel(data->table, qid, node, pool, &governor);
+  std::vector<FrequencySet> parallel =
+      FrequencySet::ComputeBatch(data->table, qid, {node}, &pool, &governor);
   EXPECT_FALSE(governor.Tripped());
-  ExpectSameFrequencySet(serial, parallel);
+  ExpectSameFrequencySet(serial, parallel[0]);
   // The per-worker shard leases are transient: drained before returning,
   // so the caller owns the only live charge (here: none yet).
   EXPECT_EQ(governor.memory().used(), 0);
   EXPECT_GE(governor.trips().checks, 1);
 }
 
-TEST(ComputeParallelTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
+TEST(PooledScanTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
   AdultsOptions adults;
   adults.num_rows = 300;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -457,10 +457,10 @@ TEST(ComputeParallelTest, TinyBudgetTripsToEmptySetWithNothingLeaked) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(16);  // smaller than a single group entry
-  FrequencySet tripped =
-      FrequencySet::ComputeParallel(data->table, qid, node, pool, &governor);
+  std::vector<FrequencySet> tripped =
+      FrequencySet::ComputeBatch(data->table, qid, {node}, &pool, &governor);
   EXPECT_TRUE(governor.Tripped());
-  EXPECT_EQ(tripped.NumGroups(), 0u);
+  EXPECT_EQ(tripped[0].NumGroups(), 0u);
   EXPECT_EQ(governor.memory().used(), 0);
   // Callers detect the trip exactly like a serial refusal: the latched
   // status comes back from the next charge.
@@ -522,7 +522,7 @@ TEST(ParallelFaultTest, RandomFaultsNeverCrashTheParallelSearch) {
   FaultInjector::Global().Reset();
 }
 
-TEST(ParallelFaultTest, ScanChunkFaultYieldsEmptySetAndLatchedTrip) {
+TEST(ParallelFaultTest, ScanFaultYieldsEmptySetAndLatchedTrip) {
   if (!FaultInjector::kCompiledIn) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
@@ -533,23 +533,22 @@ TEST(ParallelFaultTest, ScanChunkFaultYieldsEmptySetAndLatchedTrip) {
   for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
   SubsetNode node(dims, std::vector<int32_t>(n, 0));
   FaultInjector::Global().Reset();
-  FaultInjector::Global().ScriptFailNthHit("freq.scan.chunk", 1);
+  FaultInjector::Global().ScriptFailNthHit("freq.batch.scan", 1);
   WorkerPool pool(4);
   ExecutionGovernor governor;
-  FrequencySet fs =
-      FrequencySet::ComputeParallel(data.table, data.qid, node, pool,
-                                    &governor);
+  std::vector<FrequencySet> fs = FrequencySet::ComputeBatch(
+      data.table, data.qid, {node}, &pool, &governor);
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
-  EXPECT_EQ(fs.NumGroups(), 0u);
+  EXPECT_EQ(fs[0].NumGroups(), 0u);
   EXPECT_TRUE(governor.Tripped());
   EXPECT_EQ(governor.memory().used(), 0);
   // The one-shot script is consumed: a retry of the scan succeeds — but
   // on a fresh governor, since the first one stays latched.
   ExecutionGovernor retry_governor;
-  FrequencySet retry = FrequencySet::ComputeParallel(
-      data.table, data.qid, node, pool, &retry_governor);
+  std::vector<FrequencySet> retry = FrequencySet::ComputeBatch(
+      data.table, data.qid, {node}, &pool, &retry_governor);
   EXPECT_FALSE(retry_governor.Tripped());
-  EXPECT_EQ(GroupsOf(retry),
+  EXPECT_EQ(GroupsOf(retry[0]),
             GroupsOf(FrequencySet::Compute(data.table, data.qid, node)));
   FaultInjector::Global().Reset();
 }
@@ -580,7 +579,7 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
     GTEST_SKIP() << "build with -DINCOGNITO_FAULTS=ON";
   }
   // The governed parallel cube search reaches both new compute sites: the
-  // parallel root scan ("freq.scan.chunk") and the DAG projections
+  // parallel root scan ("freq.batch.scan") and the DAG projections
   // ("cube.project"). A scripted failure at either must surface as a
   // governance partial with the byte accounting balanced.
   Rng rng(7);
@@ -589,7 +588,7 @@ TEST(ParallelFaultTest, NewSitesSurfaceAsCleanPartialsEndToEnd) {
   config.k = 2;
   IncognitoOptions options;
   options.variant = IncognitoVariant::kCube;
-  for (const char* site : {"freq.scan.chunk", "cube.project"}) {
+  for (const char* site : {"freq.batch.scan", "cube.project"}) {
     FaultInjector::Global().Reset();
     FaultInjector::Global().ScriptFailNthHit(site, 1);
     ExecutionGovernor governor;

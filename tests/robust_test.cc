@@ -608,7 +608,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
       BuildSuppressionHierarchy("a", table.dictionary(0));
   ASSERT_TRUE(hierarchy.ok());
 
-  // The compute-path sites (cube.build, cube.project, freq.scan.chunk,
+  // The compute-path sites (cube.build, cube.project, freq.batch.scan,
   // incognito.rollup, bottom_up.rollup) only fire inside governed
   // searches, so the battery also runs one search per family — including
   // a 4-thread parallel cube search for the intra-node sites. k is set
@@ -645,7 +645,7 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     }
     {
       // The governed parallel cube search reaches the intra-node sites:
-      // the parallel root scan (freq.scan.chunk), the DAG-scheduled
+      // the parallel root scan (freq.batch.scan), the DAG-scheduled
       // projections (cube.project), and the subset-DAG dispatch site
       // (incognito.subset.schedule).
       ExecutionGovernor g;
@@ -664,9 +664,8 @@ TEST_F(FaultPointTest, EveryKnownSitePropagatesACleanStatus) {
     for (const Status& s : probe) EXPECT_TRUE(s.ok()) << s.message();
   }
   for (const char* compute_site :
-       {"cube.build", "cube.project", "freq.scan.chunk", "freq.batch.scan",
-        "incognito.rollup", "incognito.subset.schedule",
-        "bottom_up.rollup"}) {
+       {"cube.build", "cube.project", "freq.batch.scan", "incognito.rollup",
+        "incognito.subset.schedule", "bottom_up.rollup"}) {
     EXPECT_GE(FaultInjector::Global().HitCount(compute_site), 1)
         << "battery searches never reach " << compute_site;
   }

@@ -226,11 +226,9 @@ TEST(RunContextBuilderTest, BuildersArmTheBorrowedGovernor) {
                        .WithDeadline(0)
                        .WithMemoryBudget(64)
                        .WithCancel(&cancel)
-                       .WithWorkers(3)
-                       .WithSubstrate(SubstrateMode::kRadix);
+                       .WithWorkers(3);
   EXPECT_EQ(ctx.governor, &governor);
   EXPECT_EQ(ctx.num_threads, 3);
-  EXPECT_EQ(ctx.substrate, SubstrateMode::kRadix);
   // The zero deadline and the 64-byte budget were armed on the governor.
   EXPECT_FALSE(governor.Check().ok());
   EXPECT_FALSE(governor.ChargeMemory(65).ok());
@@ -274,13 +272,11 @@ TEST(ExecProfileTest, GovernedProfileArmsEveryBudget) {
   CancelToken cancel;
   profile.cancel = &cancel;
   profile.num_threads = 2;
-  profile.substrate = SubstrateMode::kHash;
   ASSERT_TRUE(profile.governed());
   ExecutionGovernor governor;
   RunContext ctx = profile.MakeContext(&governor);
   EXPECT_EQ(ctx.governor, &governor);
   EXPECT_EQ(ctx.num_threads, 2);
-  EXPECT_EQ(ctx.substrate, SubstrateMode::kHash);
   EXPECT_FALSE(governor.Check().ok());
   EXPECT_FALSE(governor.ChargeMemory(65).ok());
 }

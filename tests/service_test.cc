@@ -10,10 +10,12 @@
 // core's lock, the job governor's atomics, or the socket.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -106,7 +108,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   spec.exec.deadline_ms = 1500;
   spec.exec.memory_budget_bytes = 4 << 20;
   spec.exec.num_threads = 2;
-  spec.exec.substrate = SubstrateMode::kRadix;
   spec.exec.checkpoint.path = "/tmp/ck";
   spec.exec.checkpoint.interval_ms = 25;
   spec.exec.checkpoint.resume = ResumeMode::kAuto;
@@ -131,7 +132,6 @@ TEST(JobSpecJsonTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(round->exec.deadline_ms, 1500);
   EXPECT_EQ(round->exec.memory_budget_bytes, 4 << 20);
   EXPECT_EQ(round->exec.num_threads, 2);
-  EXPECT_EQ(round->exec.substrate, SubstrateMode::kRadix);
   EXPECT_EQ(round->exec.checkpoint.path, "/tmp/ck");
   EXPECT_EQ(round->exec.checkpoint.interval_ms, 25);
   EXPECT_EQ(round->exec.checkpoint.resume, ResumeMode::kAuto);
@@ -151,18 +151,22 @@ TEST(JobSpecJsonTest, UnknownKeysAreRejected) {
   EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(JobSpecJsonTest, RemovedScheduleKeyIsRejectedLikeAnyUnknownKey) {
-  // "schedule" selected between two schedulers that no longer exist; a
-  // spec that still carries it is rejected, not silently accepted.
-  obs::JsonValue parsed;
-  std::string error;
-  ASSERT_TRUE(obs::ParseJson(
-      "{\"input\":\"x.csv\",\"qid\":[\"A\"],\"schedule\":\"barrier\"}",
-      &parsed, &error));
-  Result<JobSpec> spec = JobSpecFromJson(parsed);
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(spec.status().message(), "unknown job spec key \"schedule\"");
+TEST(JobSpecJsonTest, RemovedKeysAreRejectedLikeAnyUnknownKey) {
+  // "schedule" selected between two schedulers and "substrate" between
+  // group-by engines that no longer exist; a spec that still carries
+  // either is rejected, not silently accepted.
+  for (const char* key : {"schedule", "substrate"}) {
+    obs::JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(obs::ParseJson("{\"input\":\"x.csv\",\"qid\":[\"A\"],\"" +
+                                   std::string(key) + "\":\"hash\"}",
+                               &parsed, &error));
+    Result<JobSpec> spec = JobSpecFromJson(parsed);
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_EQ(spec.status().message(),
+              "unknown job spec key \"" + std::string(key) + "\"");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -460,22 +464,27 @@ TEST(ServiceCoreTest, ConcurrentSubmitPollCancelFromManyClients) {
 // The socket protocol.
 // ---------------------------------------------------------------------------
 
-/// Minimal raw protocol client: one connect / request-line / reply-line.
-Result<obs::JsonValue> RawRoundTrip(const std::string& socket_path,
-                                    const std::string& request) {
+/// Connects to the daemon socket; -1 on failure.
+int ConnectTo(const std::string& socket_path) {
   sockaddr_un addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long");
-  }
+  if (socket_path.size() >= sizeof(addr.sun_path)) return -1;
   std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket() failed");
+  if (fd < 0) return -1;
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return Status::IOError("connect failed");
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal raw protocol client: one connect / request-line / reply-line.
+Result<obs::JsonValue> RawRoundTrip(const std::string& socket_path,
+                                    const std::string& request) {
+  int fd = ConnectTo(socket_path);
+  if (fd < 0) return Status::IOError("connect failed");
   std::string line = request + "\n";
   if (::write(fd, line.data(), line.size()) !=
       static_cast<ssize_t>(line.size())) {
@@ -582,6 +591,57 @@ TEST(ServiceServerTest, EndToEndSubmitStatusResultShutdown) {
   ASSERT_TRUE(shutdown.ok());
   EXPECT_TRUE(BoolField(shutdown.value(), "ok"));
   EXPECT_TRUE(server.ShutdownRequested());
+  server.Stop();
+}
+
+TEST(ServiceServerTest, OverlongRequestLineIsRejectedAndClosed) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceCore core(config);
+  std::string path = TestSocketPath();
+  ServiceServer server(&core, path);
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ConnectTo(path);
+  ASSERT_GE(fd, 0);
+  // A hung daemon fails the reads below instead of hanging the test.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  // One byte past the cap and no newline: the daemon reads all of it, so
+  // nothing unread is left behind when it closes.
+  const std::string overlong(kMaxRequestLineBytes + 1, 'x');
+  size_t sent = 0;
+  while (sent < overlong.size()) {
+    ssize_t n = ::send(fd, overlong.data() + sent, overlong.size() - sent,
+                       MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    reply.append(chunk, static_cast<size_t>(n));
+  }
+  // read() == 0: the daemon closed the connection after its reply.
+  EXPECT_EQ(n, 0) << std::strerror(errno);
+  ::close(fd);
+  ASSERT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::ParseJson(reply.substr(0, reply.size() - 1), &parsed,
+                             &error))
+      << error;
+  EXPECT_FALSE(BoolField(parsed, "ok"));
+  EXPECT_EQ(StrField(parsed, "status"), "InvalidArgument");
+  EXPECT_EQ(NumField(parsed, "exit_code"), 3);
+
+  // The daemon still serves new connections.
+  Result<obs::JsonValue> pong = RawRoundTrip(path, "{\"op\":\"ping\"}");
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(BoolField(pong.value(), "ok"));
   server.Stop();
 }
 

@@ -1,12 +1,10 @@
-// Differential and property tests for the group-by substrates
-// (src/freq/substrate.h, DESIGN.md "Group-by substrates"): the columnar
-// radix engine and the flat arena map must be BIT-IDENTICAL to the hash
-// engine — groups, counts, canonical order, MemoryBytes(), search
-// survivors, and every deterministic counter — on every fixture, at every
-// thread count, under every schedule. Plus the kAuto decision table, the
-// INCOGNITO_SUBSTRATE environment override, the radix/flat kernel units
-// against naive oracles, and the governed scans' byte accounting
-// (drain-to-zero, mid-sort memory trips).
+// Unit and property tests for the group-by engine (src/freq/substrate.h,
+// DESIGN.md "Group-by engine"): the radix kernels and the flat arena map
+// against naive oracles; ComputeBatch, RollupTo and ProjectTo against a
+// test-local std::map GROUP BY oracle — groups, canonical order and the
+// exact-capacity MemoryBytes() — for packed and wide keys at every batch
+// and pool size; and the governed scans' byte accounting (drain-to-zero,
+// up-front radix buffer charges, mid-sort cancellation).
 
 #include "freq/substrate.h"
 
@@ -14,24 +12,18 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "core/checker.h"
 #include "core/incognito.h"
 #include "core/run_context.h"
 #include "core/worker_pool.h"
 #include "data/adults.h"
-#include "data/patients.h"
-#include "freq/cube.h"
 #include "freq/frequency_set.h"
 #include "freq/key_codec.h"
-#include "obs/obs.h"
 #include "robust/governor.h"
 #include "robust/partial_result.h"
 #include "test_util.h"
@@ -42,38 +34,6 @@ namespace {
 using testing_util::MakeRandomDataset;
 using testing_util::MakeWideFallbackDataset;
 using testing_util::RandomDataset;
-
-constexpr SubstrateMode kModes[] = {SubstrateMode::kHash,
-                                    SubstrateMode::kRadix,
-                                    SubstrateMode::kAuto};
-
-/// Pins INCOGNITO_SUBSTRATE to a value (or clears it) for one test and
-/// restores whatever the test runner had set on destruction, so the tests
-/// that exercise the env override — or that assert what kAuto does
-/// without one — don't leak state into the rest of the suite (the
-/// sanitizer CI legs run the whole binary with the variable exported).
-class ScopedSubstrateEnv {
- public:
-  explicit ScopedSubstrateEnv(const char* value) {
-    const char* old = getenv("INCOGNITO_SUBSTRATE");
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    Set(value);
-  }
-  ~ScopedSubstrateEnv() { Set(had_value_ ? saved_.c_str() : nullptr); }
-
-  void Set(const char* value) {
-    if (value == nullptr) {
-      unsetenv("INCOGNITO_SUBSTRATE");
-    } else {
-      setenv("INCOGNITO_SUBSTRATE", value, 1);
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 using CodeGroups = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
 
@@ -96,115 +56,6 @@ void ExpectIdenticalSets(const FrequencySet& expected,
   EXPECT_EQ(expected.NumGroups(), actual.NumGroups()) << context;
   EXPECT_EQ(expected.MemoryBytes(), actual.MemoryBytes()) << context;
   EXPECT_EQ(expected.MinCount(), actual.MinCount()) << context;
-}
-
-void ExpectCanonicalOrder(const FrequencySet& fs, const std::string& context) {
-  CodeGroups groups = GroupsOf(fs);
-  for (size_t i = 1; i < groups.size(); ++i) {
-    EXPECT_LT(groups[i - 1].first, groups[i].first)
-        << context << " group " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The kAuto decision table (pinned: retuning a constant must fail here)
-// ---------------------------------------------------------------------------
-
-TEST(SubstrateAutoTest, ExplicitModesIgnoreShape) {
-  // kHash is always the hash map; kRadix is the radix sort whenever keys
-  // pack, and the flat arena map when they do not.
-  for (size_t rows : {size_t{0}, size_t{100}, size_t{1} << 20}) {
-    for (size_t space : {size_t{2}, size_t{1} << 30}) {
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, true, rows, space),
-                SubstrateChoice::kHashMap);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kHash, false, rows, space),
-                SubstrateChoice::kHashMap);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, true, rows, space),
-                SubstrateChoice::kRadixSort);
-      EXPECT_EQ(ChooseSubstrate(SubstrateMode::kRadix, false, rows, space),
-                SubstrateChoice::kFlatMap);
-    }
-  }
-}
-
-TEST(SubstrateAutoTest, TinyTablesStayOnTheHashMap) {
-  const size_t big_space = kAutoMaxHashKeySpace + 1;
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, 0, big_space),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true,
-                            kAutoMinRadixRows - 1, big_space),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, kAutoMinRadixRows,
-                            big_space),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, TinyKeySpacesStayOnTheHashMap) {
-  const size_t rows = kAutoMinRadixRows * 4;
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, rows,
-                            kAutoMaxHashKeySpace),
-            SubstrateChoice::kHashMap);
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, true, rows,
-                            kAutoMaxHashKeySpace + 1),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, WideKeysFallBackToTheFlatMap) {
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, false,
-                            kAutoMinRadixRows * 4, size_t{1} << 30),
-            SubstrateChoice::kFlatMap);
-  // The tiny-table rule still wins for unpacked keys.
-  EXPECT_EQ(ChooseSubstrate(SubstrateMode::kAuto, false, 10, size_t{1} << 30),
-            SubstrateChoice::kHashMap);
-}
-
-TEST(SubstrateAutoTest, EstimateKeySpaceIsSaturatingProduct) {
-  EXPECT_EQ(EstimateKeySpace({}), 1u);
-  EXPECT_EQ(EstimateKeySpace({4, 2, 5}), 40u);
-  EXPECT_EQ(EstimateKeySpace({1, 1, 1}), 1u);
-  // Saturates instead of wrapping: ten 2^20 domains overflow size_t math
-  // on 32-bit size_t and get close on 64-bit; the estimate must stay huge.
-  std::vector<size_t> huge(10, size_t{1} << 20);
-  EXPECT_GT(EstimateKeySpace(huge), size_t{1} << 60);
-}
-
-TEST(SubstrateAutoTest, EnvironmentOverrideSteersAutoOnly) {
-  const size_t rows = kAutoMinRadixRows * 4;
-  const size_t space = kAutoMaxHashKeySpace + 1;
-  // Baseline: with no override, the shape decides.
-  ScopedSubstrateEnv env(nullptr);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
-            SubstrateChoice::kRadixSort);
-
-  env.Set("hash");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
-            SubstrateChoice::kHashMap);
-  // Explicit modes always win over the environment.
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kRadix, true, rows, space),
-            SubstrateChoice::kRadixSort);
-
-  env.Set("radix");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, 10, 2),
-            SubstrateChoice::kRadixSort);
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kHash, true, rows, space),
-            SubstrateChoice::kHashMap);
-
-  // Unknown values are ignored, not an error.
-  env.Set("bogus");
-  EXPECT_EQ(ResolveSubstrate(SubstrateMode::kAuto, true, rows, space),
-            SubstrateChoice::kRadixSort);
-}
-
-TEST(SubstrateAutoTest, NamesAndParsingRoundTrip) {
-  for (SubstrateMode mode : kModes) {
-    SubstrateMode parsed;
-    ASSERT_TRUE(ParseSubstrateMode(SubstrateModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  SubstrateMode out;
-  EXPECT_FALSE(ParseSubstrateMode("", &out));
-  EXPECT_FALSE(ParseSubstrateMode("Radix", &out));
-  EXPECT_FALSE(ParseSubstrateMode("bogus", &out));
 }
 
 // ---------------------------------------------------------------------------
@@ -368,405 +219,266 @@ TEST(FlatCodeMapTest, MemoryBytesGrowsMonotonically) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: Compute / ComputeParallel / ComputeBatch / ProjectTo
+// The GROUP BY oracle: ComputeBatch, RollupTo, ProjectTo
 // ---------------------------------------------------------------------------
 
-/// Nodes that exercise the interesting key shapes on a 3-attribute QID:
-/// multi-dim base, partial generalizations, the apex (every hierarchy at
-/// its root — all key fields zero bits wide), and single attributes.
-std::vector<SubsetNode> PatientsNodes() {
-  return {SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({1, 2}, {0, 0}),
-          SubsetNode({1, 2}, {1, 1}),       SubsetNode({0, 1, 2}, {1, 1, 2}),
-          SubsetNode({0}, {0}),             SubsetNode({2}, {2}),
-          SubsetNode({1}, {1})};
+using OracleGroups = std::map<std::vector<int32_t>, int64_t>;
+
+/// SELECT <node's generalized attrs>, COUNT(*) FROM table GROUP BY ...,
+/// computed row by row into an ordered map.
+OracleGroups GroupByOracle(const Table& table, const QuasiIdentifier& qid,
+                           const SubsetNode& node) {
+  OracleGroups oracle;
+  std::vector<int32_t> codes(node.size());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const size_t d = static_cast<size_t>(node.dims[i]);
+      const auto& map = qid.hierarchy(d).BaseToLevelMap(
+          static_cast<size_t>(node.levels[i]));
+      codes[i] = map[static_cast<size_t>(
+          table.ColumnCodes(qid.column(d))[r])];
+    }
+    ++oracle[codes];
+  }
+  return oracle;
 }
 
-TEST(SubstrateDifferentialTest, ComputeMatchesOnPatients) {
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  for (const SubsetNode& node : PatientsNodes()) {
-    FrequencySet hash = FrequencySet::Compute(ds->table, ds->qid, node,
-                                              SubstrateMode::kHash);
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      FrequencySet other = FrequencySet::Compute(ds->table, ds->qid, node,
-                                                 mode);
-      std::string context = node.ToString() + " " + SubstrateModeName(mode);
-      ExpectIdenticalSets(hash, other, context);
-      ExpectCanonicalOrder(other, context);
+/// The exact-capacity footprint of a set holding `oracle`: 16-byte
+/// entries when the node's key packs into 64 bits, else one
+/// (vector, count) entry plus an exact-size code vector per group.
+size_t OracleBytes(const QuasiIdentifier& qid, const SubsetNode& node,
+                   const OracleGroups& oracle) {
+  std::vector<size_t> cards;
+  for (size_t i = 0; i < node.size(); ++i) {
+    cards.push_back(qid.hierarchy(static_cast<size_t>(node.dims[i]))
+                        .DomainSize(static_cast<size_t>(node.levels[i])));
+  }
+  if (KeyCodec::Create(cards).packed()) {
+    return oracle.size() * sizeof(std::pair<uint64_t, int64_t>);
+  }
+  return oracle.size() *
+         (sizeof(std::pair<std::vector<int32_t>, int64_t>) +
+          node.size() * sizeof(int32_t));
+}
+
+/// Groups (in canonical order), totals and MemoryBytes() against the
+/// oracle of `node` over `table`.
+void ExpectMatchesOracle(const FrequencySet& fs, const Table& table,
+                         const QuasiIdentifier& qid, const SubsetNode& node,
+                         const std::string& context) {
+  OracleGroups oracle = GroupByOracle(table, qid, node);
+  CodeGroups expected(oracle.begin(), oracle.end());
+  EXPECT_EQ(GroupsOf(fs), expected) << context;
+  EXPECT_EQ(fs.NumGroups(), oracle.size()) << context;
+  EXPECT_EQ(fs.TotalCount(), static_cast<int64_t>(table.num_rows()))
+      << context;
+  EXPECT_EQ(fs.MemoryBytes(), OracleBytes(qid, node, oracle)) << context;
+}
+
+/// A random node over a random non-empty subset of the QID's attributes.
+SubsetNode RandomNode(Rng& rng, const QuasiIdentifier& qid) {
+  const size_t n = qid.size();
+  std::vector<int32_t> dims;
+  while (dims.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Uniform(2) == 1) dims.push_back(static_cast<int32_t>(i));
+    }
+  }
+  std::vector<int32_t> levels;
+  for (int32_t d : dims) {
+    levels.push_back(static_cast<int32_t>(
+        rng.Uniform(qid.hierarchy(static_cast<size_t>(d)).height() + 1)));
+  }
+  return SubsetNode(dims, levels);
+}
+
+/// Every hierarchy at its root: one group whenever the table has rows.
+SubsetNode ApexNode(const QuasiIdentifier& qid) {
+  std::vector<int32_t> dims;
+  std::vector<int32_t> levels;
+  for (size_t i = 0; i < qid.size(); ++i) {
+    dims.push_back(static_cast<int32_t>(i));
+    levels.push_back(static_cast<int32_t>(qid.hierarchy(i).height()));
+  }
+  return SubsetNode(dims, levels);
+}
+
+/// Every attribute at level 0.
+SubsetNode BaseNode(const QuasiIdentifier& qid) {
+  std::vector<int32_t> dims;
+  for (size_t i = 0; i < qid.size(); ++i) {
+    dims.push_back(static_cast<int32_t>(i));
+  }
+  return SubsetNode(dims, std::vector<int32_t>(qid.size(), 0));
+}
+
+/// Runs batches of 1-4 nodes drawn by `draw` through ComputeBatch on no
+/// pool and on pools of 1, 2 and 4 workers; every set must match the
+/// oracle.
+template <typename Draw>
+void SweepBatches(Rng& rng, const RandomDataset& ds, Draw draw,
+                  const std::string& label) {
+  WorkerPool pool1(1);
+  WorkerPool pool2(2);
+  WorkerPool pool4(4);
+  for (size_t batch_size = 1; batch_size <= 4; ++batch_size) {
+    std::vector<SubsetNode> batch;
+    for (size_t j = 0; j < batch_size; ++j) batch.push_back(draw(rng, j));
+    for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool1,
+                             &pool2, &pool4}) {
+      std::vector<FrequencySet> sets =
+          FrequencySet::ComputeBatch(ds.table, ds.qid, batch, pool);
+      ASSERT_EQ(sets.size(), batch.size());
+      for (size_t j = 0; j < batch.size(); ++j) {
+        ExpectMatchesOracle(
+            sets[j], ds.table, ds.qid, batch[j],
+            label + " rows=" + std::to_string(ds.table.num_rows()) +
+                " batch=" + std::to_string(batch_size) + " pool=" +
+                std::to_string(pool != nullptr ? pool->size() : 0) + " " +
+                batch[j].ToString());
+      }
     }
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeMatchesOnAdultsAboveRadixThreshold) {
-  // 5000 rows clears kAutoMinRadixRows, so kAuto genuinely runs radix for
-  // nodes whose key space exceeds kAutoMaxHashKeySpace.
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  const std::vector<SubsetNode> nodes = {
-      SubsetNode({0, 1, 2}, {0, 0, 0}),  // Age x Gender x Race: space 740
-      SubsetNode({0, 3, 4}, {1, 0, 0}),  // mixed levels
-      SubsetNode({0}, {0}),              // Age alone: space 74 -> hash
-      SubsetNode({0, 1, 2, 3, 4, 5}, {0, 0, 0, 0, 0, 0}),
-      SubsetNode({0, 1, 2}, {4, 1, 1})};  // apex-ish
-  for (const SubsetNode& node : nodes) {
-    FrequencySet hash = FrequencySet::Compute(data->table, data->qid, node,
-                                              SubstrateMode::kHash);
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      FrequencySet other =
-          FrequencySet::Compute(data->table, data->qid, node, mode);
-      ExpectIdenticalSets(hash, other,
-                          node.ToString() + " " + SubstrateModeName(mode));
-    }
-  }
-}
-
-TEST(SubstrateDifferentialTest, ComputeMatchesOnWideFallbackKeys) {
-  // 72-bit keys: kRadix resolves to the flat arena map, kHash to the
-  // vector-keyed unordered_map — still byte-identical.
-  RandomDataset ds = MakeWideFallbackDataset(800);
-  const size_t n = ds.qid.size();
-  std::vector<int32_t> dims(n);
-  for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-  const std::vector<SubsetNode> nodes = {
-      SubsetNode(dims, std::vector<int32_t>(n, 0)),
-      SubsetNode({0, 2, 4}, {0, 0, 0})};
-  for (const SubsetNode& node : nodes) {
-    FrequencySet hash =
-        FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kHash);
-    FrequencySet flat =
-        FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kRadix);
-    ExpectIdenticalSets(hash, flat, node.ToString() + " flat-map");
-    ExpectCanonicalOrder(flat, node.ToString());
-  }
-}
-
-TEST(SubstrateDifferentialTest, ComputeMatchesMapOracleOnRandomTables) {
-  // Property check straight against a naive std::map oracle, with random
-  // cardinality vectors — independent of the hash path entirely.
+TEST(GroupByOracleTest, ComputeBatchMatchesOnPackedKeys) {
   Rng rng(1009);
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{57}, size_t{400}}) {
+    testing_util::RandomDatasetOptions opts;
+    opts.num_attrs = 2 + rng.Uniform(4);
+    opts.num_rows = rows;
+    RandomDataset ds = MakeRandomDataset(rng, opts);
+    SweepBatches(rng, ds,
+                 [&](Rng& r, size_t j) {
+                   // The first node of every batch is the apex (a single
+                   // group); the rest are random.
+                   return j == 0 ? ApexNode(ds.qid) : RandomNode(r, ds.qid);
+                 },
+                 "packed");
+  }
+}
+
+TEST(GroupByOracleTest, ComputeBatchMatchesOnWideKeys) {
+  // All six 4096-value attributes at level 0 need 72 key bits, beyond the
+  // packed path; a batch mixes that wide node with random (mostly packed)
+  // ones, so both engines share one scan.
+  Rng rng(2027);
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{300}}) {
+    RandomDataset ds = MakeWideFallbackDataset(rows);
+    SweepBatches(rng, ds,
+                 [&](Rng& r, size_t j) {
+                   return j == 0 ? BaseNode(ds.qid) : RandomNode(r, ds.qid);
+                 },
+                 "wide");
+  }
+}
+
+TEST(GroupByOracleTest, ComputeMatchesMapOracleOnRandomTables) {
+  Rng rng(1013);
   for (int trial = 0; trial < 12; ++trial) {
     testing_util::RandomDatasetOptions opts;
     opts.num_attrs = 2 + rng.Uniform(4);
     opts.num_rows = 50 + rng.Uniform(400);
     RandomDataset ds = MakeRandomDataset(rng, opts);
-    const size_t n = ds.qid.size();
-    std::vector<int32_t> dims(n);
-    for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-    std::vector<int32_t> levels(n);
-    for (size_t i = 0; i < n; ++i) {
-      levels[i] = static_cast<int32_t>(
-          rng.Uniform(ds.qid.hierarchy(i).height() + 1));
-    }
-    SubsetNode node(dims, levels);
-
-    std::map<std::vector<int32_t>, int64_t> oracle;
-    std::vector<int32_t> codes(n);
-    for (size_t r = 0; r < ds.table.num_rows(); ++r) {
-      for (size_t i = 0; i < n; ++i) {
-        const auto& map = ds.qid.hierarchy(i).BaseToLevelMap(
-            static_cast<size_t>(levels[i]));
-        codes[i] = map[static_cast<size_t>(
-            ds.table.ColumnCodes(ds.qid.column(i))[r])];
-      }
-      ++oracle[codes];
-    }
-
-    for (SubstrateMode mode : kModes) {
-      FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node, mode);
-      CodeGroups groups = GroupsOf(fs);
-      ASSERT_EQ(groups.size(), oracle.size())
-          << "trial " << trial << " " << SubstrateModeName(mode);
-      size_t i = 0;
-      for (const auto& [key, count] : oracle) {
-        EXPECT_EQ(groups[i].first, key) << "trial " << trial;
-        EXPECT_EQ(groups[i].second, count) << "trial " << trial;
-        ++i;
-      }
-    }
+    SubsetNode node = RandomNode(rng, ds.qid);
+    FrequencySet fs = FrequencySet::Compute(ds.table, ds.qid, node);
+    ExpectMatchesOracle(fs, ds.table, ds.qid, node,
+                        "trial " + std::to_string(trial));
   }
 }
 
-TEST(SubstrateDifferentialTest, ComputeParallelMatchesAtEveryThreadCount) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  const std::vector<SubsetNode> nodes = {
-      SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({0, 3, 4}, {1, 0, 0}),
-      SubsetNode({0}, {0})};
-  for (const SubsetNode& node : nodes) {
-    FrequencySet serial = FrequencySet::Compute(data->table, data->qid, node,
-                                                SubstrateMode::kHash);
-    for (int threads : {1, 2, 4, 8}) {
-      WorkerPool pool(threads);
-      for (SubstrateMode mode : kModes) {
-        FrequencySet parallel = FrequencySet::ComputeParallel(
-            data->table, data->qid, node, pool, nullptr, mode);
-        ExpectIdenticalSets(serial, parallel,
-                            node.ToString() + " threads=" +
-                                std::to_string(threads) + " " +
-                                SubstrateModeName(mode));
-      }
+TEST(GroupByOracleTest, RollupToMatchesOracleOnRandomTables) {
+  // Rolling a node up to any generalization of it equals grouping the
+  // table at that generalization directly.
+  Rng rng(1019);
+  for (int trial = 0; trial < 24; ++trial) {
+    testing_util::RandomDatasetOptions opts;
+    opts.num_attrs = 2 + rng.Uniform(4);
+    opts.num_rows = rng.Uniform(300);
+    RandomDataset ds = MakeRandomDataset(rng, opts);
+    SubsetNode from = RandomNode(rng, ds.qid);
+    SubsetNode to = from;
+    for (size_t i = 0; i < to.size(); ++i) {
+      const size_t height =
+          ds.qid.hierarchy(static_cast<size_t>(to.dims[i])).height();
+      to.levels[i] += static_cast<int32_t>(
+          rng.Uniform(height - static_cast<size_t>(to.levels[i]) + 1));
     }
+    FrequencySet base = FrequencySet::Compute(ds.table, ds.qid, from);
+    ExpectMatchesOracle(base.RollupTo(to, ds.qid), ds.table, ds.qid, to,
+                        "trial " + std::to_string(trial) + " " +
+                            from.ToString() + " -> " + to.ToString());
   }
+  // Wide keys roll up through the flat map; rolling one attribute to '*'
+  // leaves 60 bits, which packs again.
+  RandomDataset wide = MakeWideFallbackDataset(300);
+  SubsetNode base_node = BaseNode(wide.qid);
+  FrequencySet base = FrequencySet::Compute(wide.table, wide.qid, base_node);
+  ExpectMatchesOracle(base.RollupTo(base_node, wide.qid), wide.table,
+                      wide.qid, base_node, "wide identity rollup");
+  SubsetNode packed_target = base_node;
+  packed_target.levels[0] = 1;
+  ExpectMatchesOracle(base.RollupTo(packed_target, wide.qid), wide.table,
+                      wide.qid, packed_target, "wide to packed rollup");
 }
 
-TEST(SubstrateDifferentialTest, ComputeParallelMatchesOnWideKeys) {
-  RandomDataset ds = MakeWideFallbackDataset(600);
-  const size_t n = ds.qid.size();
-  std::vector<int32_t> dims(n);
-  for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-  SubsetNode node(dims, std::vector<int32_t>(n, 0));
-  FrequencySet serial =
-      FrequencySet::Compute(ds.table, ds.qid, node, SubstrateMode::kHash);
-  for (int threads : {2, 4, 8}) {
-    WorkerPool pool(threads);
-    FrequencySet flat = FrequencySet::ComputeParallel(
-        ds.table, ds.qid, node, pool, nullptr, SubstrateMode::kRadix);
-    ExpectIdenticalSets(serial, flat,
-                        "flat threads=" + std::to_string(threads));
-  }
-}
-
-TEST(SubstrateDifferentialTest, ComputeBatchMatchesPerNodeCompute) {
-  // Same dims at different levels have different key spaces, so under
-  // kAuto one batch genuinely mixes engines.
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  const std::vector<SubsetNode> batch = {
-      SubsetNode({0, 1, 2}, {0, 0, 0}), SubsetNode({0, 1, 2}, {1, 0, 0}),
-      SubsetNode({0, 1, 2}, {2, 1, 0}), SubsetNode({0, 1, 2}, {4, 1, 1}),
-      SubsetNode({0, 4, 5}, {0, 0, 0})};
-  for (SubstrateMode mode : kModes) {
-    for (int threads : {0, 2, 4, 8}) {
-      WorkerPool pool(threads > 0 ? threads : 1);
-      std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-          data->table, data->qid, batch, threads > 0 ? &pool : nullptr,
-          nullptr, mode);
-      ASSERT_EQ(sets.size(), batch.size());
-      for (size_t j = 0; j < batch.size(); ++j) {
-        FrequencySet direct = FrequencySet::Compute(
-            data->table, data->qid, batch[j], SubstrateMode::kHash);
-        ExpectIdenticalSets(direct, sets[j],
-                            batch[j].ToString() + " batch threads=" +
-                                std::to_string(threads) + " " +
-                                SubstrateModeName(mode));
+TEST(GroupByOracleTest, ProjectToMatchesOracleOnRandomTables) {
+  // Projecting onto a subset of the attributes equals grouping the table
+  // by that subset directly.
+  Rng rng(1021);
+  for (int trial = 0; trial < 24; ++trial) {
+    testing_util::RandomDatasetOptions opts;
+    opts.num_attrs = 2 + rng.Uniform(4);
+    opts.num_rows = rng.Uniform(300);
+    RandomDataset ds = MakeRandomDataset(rng, opts);
+    SubsetNode from = RandomNode(rng, ds.qid);
+    SubsetNode to;
+    while (to.dims.empty()) {
+      to = SubsetNode();
+      for (size_t i = 0; i < from.size(); ++i) {
+        if (rng.Uniform(2) == 1) {
+          to.dims.push_back(from.dims[i]);
+          to.levels.push_back(from.levels[i]);
+        }
       }
     }
+    FrequencySet base = FrequencySet::Compute(ds.table, ds.qid, from);
+    ExpectMatchesOracle(base.ProjectTo(to, ds.qid), ds.table, ds.qid, to,
+                        "trial " + std::to_string(trial) + " " +
+                            from.ToString() + " -> " + to.ToString());
   }
-}
-
-TEST(SubstrateDifferentialTest, ProjectToMatchesAcrossSubstrates) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  SubsetNode full({0, 1, 2, 3}, {0, 0, 0, 0});
-  FrequencySet base = FrequencySet::Compute(data->table, data->qid, full,
-                                            SubstrateMode::kHash);
-  for (const SubsetNode& target :
-       {SubsetNode({0, 1}, {0, 0}), SubsetNode({0, 2, 3}, {0, 0, 0}),
-        SubsetNode({3}, {0})}) {
-    FrequencySet hash = base.ProjectTo(target, data->qid,
-                                       SubstrateMode::kHash);
-    for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-      FrequencySet other = base.ProjectTo(target, data->qid, mode);
-      ExpectIdenticalSets(hash, other,
-                          target.ToString() + " " + SubstrateModeName(mode));
-    }
-  }
-  // Wide-key projection rides the flat map.
-  RandomDataset wide = MakeWideFallbackDataset(500);
-  const size_t n = wide.qid.size();
-  std::vector<int32_t> dims(n);
-  for (size_t i = 0; i < n; ++i) dims[i] = static_cast<int32_t>(i);
-  FrequencySet wbase =
-      FrequencySet::Compute(wide.table, wide.qid,
-                            SubsetNode(dims, std::vector<int32_t>(n, 0)),
-                            SubstrateMode::kHash);
-  SubsetNode wtarget({0, 1, 2, 3, 4}, {0, 0, 0, 0, 0});
-  FrequencySet whash = wbase.ProjectTo(wtarget, wide.qid,
-                                       SubstrateMode::kHash);
-  FrequencySet wflat = wbase.ProjectTo(wtarget, wide.qid,
-                                       SubstrateMode::kRadix);
-  ExpectIdenticalSets(whash, wflat, "wide projection");
-}
-
-TEST(SubstrateDifferentialTest, CubeBuildsAreIdenticalAcrossSubstrates) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(4);
-  ZeroGenCube::BuildInfo hash_info;
-  ZeroGenCube hash_cube = ZeroGenCube::Build(data->table, qid, &hash_info,
-                                             nullptr, SubstrateMode::kHash);
-  for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-    ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::Build(data->table, qid, &info, nullptr, mode);
-    EXPECT_EQ(info.num_subsets, hash_info.num_subsets);
-    EXPECT_EQ(info.total_groups, hash_info.total_groups);
-    EXPECT_EQ(info.total_bytes, hash_info.total_bytes);
-    EXPECT_EQ(info.table_scans, hash_info.table_scans);
-    EXPECT_EQ(info.projections, hash_info.projections);
-    // Spot-check the materialized sets themselves.
-    for (const std::vector<int32_t>& dims :
-         {std::vector<int32_t>{0}, std::vector<int32_t>{0, 2},
-          std::vector<int32_t>{0, 1, 2, 3}}) {
-      ExpectIdenticalSets(hash_cube.Get(dims), cube.Get(dims),
-                          SubstrateModeName(mode));
-    }
-  }
+  RandomDataset wide = MakeWideFallbackDataset(300);
+  FrequencySet base =
+      FrequencySet::Compute(wide.table, wide.qid, BaseNode(wide.qid));
+  SubsetNode target({0, 1, 2, 3, 4}, {0, 0, 0, 0, 0});
+  ExpectMatchesOracle(base.ProjectTo(target, wide.qid), wide.table, wide.qid,
+                      target, "wide projection");
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the full search, every variant x thread count x schedule
+// Governed scans: exact byte accounting
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> Strings(const std::vector<SubsetNode>& nodes) {
-  std::vector<std::string> out;
-  out.reserve(nodes.size());
-  for (const SubsetNode& n : nodes) out.push_back(n.ToString());
-  return out;
-}
-
-/// Survivors, per-iteration sets, and every deterministic counter must be
-/// independent of the substrate. (Substrate obs counters and shard
-/// high-water marks legitimately differ and are excluded.)
-void ExpectSameSearch(const IncognitoResult& expected,
-                      const IncognitoResult& actual,
-                      const std::string& context) {
-  EXPECT_EQ(Strings(expected.anonymous_nodes), Strings(actual.anonymous_nodes))
-      << context;
-  ASSERT_EQ(expected.per_iteration_survivors.size(),
-            actual.per_iteration_survivors.size())
-      << context;
-  for (size_t i = 0; i < expected.per_iteration_survivors.size(); ++i) {
-    EXPECT_EQ(Strings(expected.per_iteration_survivors[i]),
-              Strings(actual.per_iteration_survivors[i]))
-        << context << " iteration " << i + 1;
-  }
-  EXPECT_EQ(expected.completed_iterations, actual.completed_iterations)
-      << context;
-  EXPECT_EQ(expected.stats.nodes_checked, actual.stats.nodes_checked)
-      << context;
-  EXPECT_EQ(expected.stats.nodes_marked, actual.stats.nodes_marked) << context;
-  EXPECT_EQ(expected.stats.table_scans, actual.stats.table_scans) << context;
-  EXPECT_EQ(expected.stats.rollups, actual.stats.rollups) << context;
-  EXPECT_EQ(expected.stats.freq_groups_built, actual.stats.freq_groups_built)
-      << context;
-  EXPECT_EQ(expected.stats.candidate_nodes, actual.stats.candidate_nodes)
-      << context;
-  EXPECT_EQ(expected.stats.batched_scan_nodes, actual.stats.batched_scan_nodes)
-      << context;
-}
-
-TEST(SubstrateSearchTest, CheckerVerdictIndependentOfSubstrate) {
-  AdultsOptions adults;
-  adults.num_rows = 5000;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  AnonymizationConfig config;
-  config.k = 10;
-  SubsetNode node = SubsetNode::Full({2, 1, 1});
-  QuasiIdentifier qid = data->qid.Prefix(3);
-  AlgorithmStats hash_stats;
-  bool hash_ok = IsKAnonymous(data->table, qid, node, config, &hash_stats, 1,
-                              SubstrateMode::kHash);
-  for (SubstrateMode mode : {SubstrateMode::kRadix, SubstrateMode::kAuto}) {
-    for (int threads : {1, 4}) {
-      AlgorithmStats stats;
-      EXPECT_EQ(IsKAnonymous(data->table, qid, node, config, &stats, threads,
-                             mode),
-                hash_ok)
-          << SubstrateModeName(mode);
-      EXPECT_EQ(stats.freq_groups_built, hash_stats.freq_groups_built);
-    }
-    // The RunContext variant resolves ctx.substrate the same way.
-    RunContext ctx;
-    ctx.substrate = mode;
-    Result<bool> got = IsKAnonymous(data->table, qid, node, config, ctx);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), hash_ok);
-  }
-}
-
-#ifndef INCOGNITO_OBS_DISABLED
-TEST(SubstrateSearchTest, ContextSubstrateSteersEveryBuild) {
-  // ctx says radix: the run must build every frequency set on the
-  // radix/flat engines — visible via the substrate counters.
-  AdultsOptions adults;
-  adults.num_rows = 4500;
-  Result<SyntheticDataset> data = MakeAdultsDataset(adults);
-  ASSERT_TRUE(data.ok());
-  QuasiIdentifier qid = data->qid.Prefix(2);
-  AnonymizationConfig config;
-  config.k = 25;
-  RunContext ctx;
-  ctx.substrate = SubstrateMode::kRadix;
-  obs::MetricsSnapshot before =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global());
-  PartialResult<IncognitoResult> run =
-      RunIncognito(data->table, qid, config, {}, ctx);
-  ASSERT_TRUE(run.ok());
-  obs::MetricsSnapshot delta =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
-          .DeltaSince(before);
-  EXPECT_GT(delta.counters["freq.substrate_radix"], 0);
-  EXPECT_EQ(delta.counters["freq.substrate_hash"], 0);
-}
-
-TEST(SubstrateSearchTest, AutoPrefersHashOnTinyTables) {
-  // 60 rows is far below kAutoMinRadixRows: kAuto must never pick radix.
-  // Pin the environment so the test exercises the true kAuto default even
-  // when the runner sweeps INCOGNITO_SUBSTRATE.
-  ScopedSubstrateEnv env(nullptr);
-  Rng rng(404);
-  RandomDataset data = MakeRandomDataset(rng);
-  AnonymizationConfig config;
-  config.k = 2;
-  obs::MetricsSnapshot before =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global());
-  PartialResult<IncognitoResult> run =
-      RunIncognito(data.table, data.qid, config);
-  ASSERT_TRUE(run.ok());
-  obs::MetricsSnapshot delta =
-      obs::MetricsSnapshot::Take(obs::CounterRegistry::Global())
-          .DeltaSince(before);
-  EXPECT_EQ(delta.counters["freq.substrate_radix"], 0);
-  EXPECT_GT(delta.counters["freq.substrate_hash"], 0);
-}
-#endif  // !INCOGNITO_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Governed scans: exact byte accounting on every substrate
-// ---------------------------------------------------------------------------
-
-TEST(SubstrateGovernedTest, ParallelScanDrainsToZeroOnEverySubstrate) {
+TEST(SubstrateGovernedTest, GovernedScanDrainsToZero) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
   SubsetNode node({0, 1, 2}, {0, 0, 0});
-  FrequencySet expected = FrequencySet::Compute(data->table, data->qid, node,
-                                                SubstrateMode::kHash);
-  for (SubstrateMode mode : kModes) {
+  FrequencySet expected = FrequencySet::Compute(data->table, data->qid, node);
+  for (int threads : {1, 4}) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);
-    WorkerPool pool(4);
-    FrequencySet governed = FrequencySet::ComputeParallel(
-        data->table, data->qid, node, pool, &governor, mode);
-    ExpectIdenticalSets(expected, governed, SubstrateModeName(mode));
-    EXPECT_TRUE(governor.Check().ok()) << SubstrateModeName(mode);
+    WorkerPool pool(threads);
+    FrequencySet governed = std::move(FrequencySet::ComputeBatch(
+        data->table, data->qid, {node}, &pool, &governor)[0]);
+    const std::string context = "threads=" + std::to_string(threads);
+    ExpectIdenticalSets(expected, governed, context);
+    EXPECT_TRUE(governor.Check().ok()) << context;
     // Every transient byte — sort buffers included — returned to the
     // budget; only the drained high-water marks remain.
-    EXPECT_EQ(governor.memory().used(), 0) << SubstrateModeName(mode);
-    EXPECT_GT(governor.memory().peak(), 0) << SubstrateModeName(mode);
+    EXPECT_EQ(governor.memory().used(), 0) << context;
+    EXPECT_GT(governor.memory().peak(), 0) << context;
   }
 }
 
@@ -779,15 +491,16 @@ TEST(SubstrateGovernedTest, RadixBufferChargeTripsTinyBudgets) {
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
   ASSERT_TRUE(data.ok());
   SubsetNode node({0, 1, 2}, {0, 0, 0});
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
-  WorkerPool pool(4);
-  FrequencySet tripped = FrequencySet::ComputeParallel(
-      data->table, data->qid, node, pool, &governor, SubstrateMode::kRadix);
-  EXPECT_EQ(tripped.NumGroups(), 0u);
-  EXPECT_FALSE(governor.SharedTrip().ok());
-  EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {1, 4}) {
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(1024);  // << 2 * chunk_rows * 8 bytes
+    WorkerPool pool(threads);
+    FrequencySet tripped = std::move(FrequencySet::ComputeBatch(
+        data->table, data->qid, {node}, &pool, &governor)[0]);
+    EXPECT_EQ(tripped.NumGroups(), 0u);
+    EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
 TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
@@ -804,14 +517,14 @@ TEST(SubstrateGovernedTest, MidSortCancelAbandonsTheSortCleanly) {
   governor.SetCancelToken(&token);
   token.Cancel();
   WorkerPool pool(4);
-  FrequencySet tripped = FrequencySet::ComputeParallel(
-      data->table, data->qid, node, pool, &governor, SubstrateMode::kRadix);
+  FrequencySet tripped = std::move(FrequencySet::ComputeBatch(
+      data->table, data->qid, {node}, &pool, &governor)[0]);
   EXPECT_EQ(tripped.NumGroups(), 0u);
   EXPECT_EQ(governor.SharedTrip().code(), StatusCode::kCancelled);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 
-TEST(SubstrateGovernedTest, GovernedBatchDrainsToZeroOnEverySubstrate) {
+TEST(SubstrateGovernedTest, GovernedBatchDrainsToZero) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -819,23 +532,23 @@ TEST(SubstrateGovernedTest, GovernedBatchDrainsToZeroOnEverySubstrate) {
   const std::vector<SubsetNode> batch = {SubsetNode({0, 1, 2}, {0, 0, 0}),
                                          SubsetNode({0, 1, 2}, {1, 0, 0}),
                                          SubsetNode({0, 1, 2}, {4, 1, 1})};
-  for (SubstrateMode mode : kModes) {
+  for (int threads : {1, 4}) {
     ExecutionGovernor governor;
     governor.SetMemoryLimitBytes(int64_t{1} << 30);
-    WorkerPool pool(4);
+    WorkerPool pool(threads);
     std::vector<FrequencySet> sets = FrequencySet::ComputeBatch(
-        data->table, data->qid, batch, &pool, &governor, mode);
+        data->table, data->qid, batch, &pool, &governor);
     ASSERT_EQ(sets.size(), batch.size());
     for (size_t j = 0; j < batch.size(); ++j) {
-      FrequencySet direct = FrequencySet::Compute(
-          data->table, data->qid, batch[j], SubstrateMode::kHash);
-      ExpectIdenticalSets(direct, sets[j], SubstrateModeName(mode));
+      FrequencySet direct =
+          FrequencySet::Compute(data->table, data->qid, batch[j]);
+      ExpectIdenticalSets(direct, sets[j], batch[j].ToString());
     }
-    EXPECT_EQ(governor.memory().used(), 0) << SubstrateModeName(mode);
+    EXPECT_EQ(governor.memory().used(), 0) << "threads=" << threads;
   }
 }
 
-TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
+TEST(SubstrateGovernedTest, GovernedSearchMatchesUngoverned) {
   AdultsOptions adults;
   adults.num_rows = 5000;
   Result<SyntheticDataset> data = MakeAdultsDataset(adults);
@@ -843,18 +556,19 @@ TEST(SubstrateGovernedTest, GovernedSearchMatchesUngovernedOnRadix) {
   QuasiIdentifier qid = data->qid.Prefix(3);
   AnonymizationConfig config;
   config.k = 25;
-  PartialResult<IncognitoResult> baseline = RunIncognito(
-      data->table, qid, config, {},
-      RunContext().WithSubstrate(SubstrateMode::kRadix));
+  PartialResult<IncognitoResult> baseline =
+      RunIncognito(data->table, qid, config);
   ASSERT_TRUE(baseline.ok());
   ExecutionGovernor governor;
   governor.SetMemoryLimitBytes(int64_t{1} << 33);
-  PartialResult<IncognitoResult> governed =
-      RunIncognito(data->table, qid, config, {},
-                   RunContext::Governed(governor, 4)
-                       .WithSubstrate(SubstrateMode::kRadix));
+  PartialResult<IncognitoResult> governed = RunIncognito(
+      data->table, qid, config, {}, RunContext::Governed(governor, 4));
   ASSERT_TRUE(governed.ok());
-  ExpectSameSearch(*baseline, *governed, "governed radix");
+  EXPECT_EQ(testing_util::NodeSet(baseline->anonymous_nodes),
+            testing_util::NodeSet(governed->anonymous_nodes));
+  EXPECT_EQ(baseline->stats.nodes_checked, governed->stats.nodes_checked);
+  EXPECT_EQ(baseline->stats.freq_groups_built,
+            governed->stats.freq_groups_built);
   EXPECT_EQ(governor.memory().used(), 0);
 }
 

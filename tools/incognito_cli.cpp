@@ -50,11 +50,6 @@
 //                    (subset, level) batch; see docs/PARALLELISM.md
 //                    "Scan-sharing batch evaluation"). Results are
 //                    identical either way; this is an ablation switch.
-//   --substrate=S    group-by engine for every frequency-set build: hash
-//                    (per-row map probes), radix (columnar radix sort),
-//                    or auto (default; per-build choice by key shape —
-//                    see DESIGN.md "Group-by substrates"). All modes
-//                    produce bit-identical results.
 //
 // Resource governance (check, enumerate, anonymize, models):
 //   --deadline-ms=N       stop the search after N milliseconds
@@ -92,6 +87,8 @@
 //   0  success            3  invalid input / bad flag value
 //   1  other failure      4  I/O error
 //   2  usage error        5  deadline/memory/cancel budget tripped
+// A --flag no subcommand reads is a usage error (exit 2,
+// "error[InvalidArgument]: unknown flag --X" on stderr).
 //
 // Examples:
 //   incognito_cli enumerate --input=adults.csv --k=5 \
@@ -109,6 +106,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -457,10 +455,10 @@ Result<GovernanceOptions> ParseGovernance(
   return opts;
 }
 
-/// The execution knobs --threads (worker count of the search; on `check`
-/// it fans out the single scan) and --substrate, parsed into `profile`,
-/// and the Incognito options --variant and --no-batch-scan. Defaults: 1
-/// thread, auto substrate, basic variant.
+/// The execution knob --threads (worker count of the search; on `check`
+/// it fans out the single scan), parsed into `profile`, and the Incognito
+/// options --variant and --no-batch-scan. Defaults: 1 thread, basic
+/// variant.
 Result<IncognitoOptions> ParseRunOptions(
     const std::map<std::string, std::string>& args, ExecProfile* profile) {
   IncognitoOptions opts;
@@ -488,12 +486,6 @@ Result<IncognitoOptions> ParseRunOptions(
     }
   }
   if (!Get(args, "no-batch-scan").empty()) opts.batch_scans = false;
-  std::string substrate = Get(args, "substrate");
-  if (!substrate.empty() &&
-      !ParseSubstrateMode(substrate, &profile->substrate)) {
-    return Status::InvalidArgument("bad --substrate value '" + substrate +
-                                   "' (want hash, radix, or auto)");
-  }
   return opts;
 }
 
@@ -532,6 +524,19 @@ Result<CheckpointPolicy> ParseCheckpointPolicy(
     }
   }
   return policy;
+}
+
+/// Every --flag some subcommand reads (see the file header).
+const std::set<std::string>& KnownFlags() {
+  static const std::set<std::string> flags = {
+      "checkpoint", "checkpoint-interval-ms", "column", "deadline-ms",
+      "default-lease-mb", "fault-script", "hierarchies", "input", "k", "l",
+      "levels", "memory-budget-mb", "memory-limit-mb", "model",
+      "no-batch-scan", "on-budget", "output", "qid", "queue-depth", "report",
+      "resume", "sample-interval-ms", "sensitive", "socket", "spec", "stats",
+      "suppress", "tenant-quota", "threads", "trace", "trace-capacity",
+      "variant", "weights", "workers"};
+  return flags;
 }
 
 std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
@@ -645,8 +650,7 @@ int CmdCheck(const std::map<std::string, std::string>& args,
     ok = governed.value();
   } else {
     ok = IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                      &stats, gov->profile.num_threads,
-                      gov->profile.substrate);
+                      &stats, gov->profile.num_threads);
   }
   printf("%s at %s: %lld-anonymous = %s\n", Get(args, "input").c_str(),
          node->ToString(&problem->qid).c_str(),
@@ -1047,6 +1051,16 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   std::map<std::string, std::string> args = ParseArgs(argc, argv);
+  // An unread flag would run silently with a different meaning (a removed
+  // or misspelled one), so it is a usage error.
+  for (const auto& [flag, value] : args) {
+    (void)value;
+    if (KnownFlags().count(flag) == 0) {
+      fprintf(stderr, "error[InvalidArgument]: unknown flag --%s\n",
+              flag.c_str());
+      return 2;
+    }
+  }
   std::string fault_spec = Get(args, "fault-script");
   if (!fault_spec.empty()) {
     if (!FaultInjector::kCompiledIn) {

@@ -25,13 +25,14 @@
 //   --variant=V          basic (default), superroots, or cube
 //   --tenant=NAME        tenant the job is accounted to (default "default")
 //   --deadline-ms=N --memory-budget-mb=N --threads=N
-//   --substrate=S
 //   --checkpoint=FILE --checkpoint-interval-ms=N --resume=off|auto|require
 //   --partial-ok         accept a budget-tripped sound partial (exit 0)
 //
 // Exit codes follow the library contract (src/common/status.h):
 //   0 success, 1 other failure, 2 usage, 3 invalid input, 4 I/O error,
 //   5 budget tripped (deadline/memory/cancel) without --partial-ok.
+// A --flag no subcommand reads is a usage error (exit 2,
+// "error[InvalidArgument]: unknown flag --X" on stderr).
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -42,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,16 @@ int Fail(const Status& status) {
   fprintf(stderr, "error[%s]: %s\n", StatusCodeName(status.code()),
           status.message().c_str());
   return ExitCodeForStatus(status.code());
+}
+
+/// Every --flag some subcommand reads (see the file header).
+const std::set<std::string>& KnownFlags() {
+  static const std::set<std::string> flags = {
+      "checkpoint", "checkpoint-interval-ms", "deadline-ms", "hierarchies",
+      "id", "input", "k", "l", "memory-budget-mb", "model", "partial-ok",
+      "qid", "resume", "sensitive", "socket", "suppress", "tenant",
+      "threads", "variant", "wait"};
+  return flags;
 }
 
 std::map<std::string, std::string> ParseArgs(int argc, char** argv) {
@@ -141,12 +153,6 @@ Result<JobSpec> SpecFromArgs(const std::map<std::string, std::string>& args) {
     spec.exec.memory_budget_bytes = atoll(budget.c_str()) * (1ll << 20);
   }
   spec.exec.num_threads = atoi(Get(args, "threads", "0").c_str());
-  std::string substrate = Get(args, "substrate");
-  if (!substrate.empty() &&
-      !ParseSubstrateMode(substrate, &spec.exec.substrate)) {
-    return Status::InvalidArgument("bad --substrate value '" + substrate +
-                                   "' (want hash, radix, or auto)");
-  }
   spec.exec.checkpoint.path = Get(args, "checkpoint");
   std::string interval = Get(args, "checkpoint-interval-ms");
   if (!interval.empty()) {
@@ -331,6 +337,16 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   std::map<std::string, std::string> args = ParseArgs(argc, argv);
+  // An unread flag would run silently with a different meaning (a removed
+  // or misspelled one), so it is a usage error.
+  for (const auto& [flag, value] : args) {
+    (void)value;
+    if (KnownFlags().count(flag) == 0) {
+      fprintf(stderr, "error[InvalidArgument]: unknown flag --%s\n",
+              flag.c_str());
+      return 2;
+    }
+  }
   std::string socket_path = Get(args, "socket");
   if (command == "ping") return CmdSimple(socket_path, "ping", 0, false);
   if (command == "submit") return CmdSubmit(args);
