@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -83,7 +84,12 @@ bool ParseDouble(std::string_view s, double* out) {
   errno = 0;
   char* end = nullptr;
   double v = strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (end != buf.c_str() + buf.size()) return false;
+  // ERANGE also flags gradual underflow; a subnormal result is exact
+  // enough to keep (a written subnormal double must read back as one).
+  if (errno != 0 && !(errno == ERANGE && v != 0 && std::isfinite(v))) {
+    return false;
+  }
   *out = v;
   return true;
 }

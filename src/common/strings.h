@@ -26,7 +26,8 @@ std::string StringPrintf(const char* fmt, ...)
 /// trailing garbage.
 bool ParseInt64(std::string_view s, int64_t* out);
 
-/// Parses a double; returns false on malformed input or trailing garbage.
+/// Parses a double; returns false on malformed input, trailing garbage,
+/// overflow, or underflow to zero (a subnormal result is accepted).
 bool ParseDouble(std::string_view s, double* out);
 
 }  // namespace incognito

@@ -6,6 +6,7 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "core/recoder.h"
 #include "freq/sensitive_frequency_set.h"
 #include "lattice/candidate_gen.h"
 #include "lattice/graph_tables.h"
@@ -227,10 +228,7 @@ PartialResult<LDiversityResult> RunLDiversityIncognito(
 Result<DiverseRecodeResult> ApplyDiverseGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const LDiversityConfig& config) {
-  if (node.size() != qid.size()) {
-    return Status::InvalidArgument(
-        "node must generalize the full quasi-identifier");
-  }
+  INCOGNITO_RETURN_IF_ERROR(CheckFullNode(qid, node));
   Result<size_t> sensitive =
       table.schema().ColumnIndex(config.sensitive_attribute);
   if (!sensitive.ok()) return sensitive.status();
@@ -247,51 +245,18 @@ Result<DiverseRecodeResult> ApplyDiverseGeneralization(
         static_cast<long long>(config.max_suppressed)));
   }
 
-  // Collect violating groups as label-keyed set, then rebuild the view.
-  const size_t n = qid.size();
-  std::set<std::vector<int32_t>> violating_groups;
+  // Suppress the members of the violating groups.
+  std::vector<int32_t> violating_groups;
   freq.ForEachGroup(
       [&](const int32_t* codes, int64_t count, int64_t distinct) {
         if (count < config.k || distinct < config.l) {
-          violating_groups.insert(std::vector<int32_t>(codes, codes + n));
+          violating_groups.insert(violating_groups.end(), codes,
+                                  codes + qid.size());
         }
       });
-
-  std::vector<const int32_t*> maps(n);
-  std::vector<const int32_t*> cols(n);
-  for (size_t i = 0; i < n; ++i) {
-    maps[i] = qid.hierarchy(i)
-                  .BaseToLevelMap(static_cast<size_t>(node.levels[i]))
-                  .data();
-    cols[i] = table.ColumnCodes(qid.column(i)).data();
-  }
-
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    if (node.levels[i] > 0) specs[qid.column(i)].type = DataType::kString;
-  }
   DiverseRecodeResult result;
-  result.view = Table{Schema(std::move(specs))};
-  std::vector<Value> row(table.num_columns());
-  std::vector<int32_t> gen(n);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t i = 0; i < n; ++i) gen[i] = maps[i][cols[i][r]];
-    if (violating_groups.count(gen) > 0) {
-      ++result.suppressed_tuples;
-      continue;
-    }
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row[c] = table.GetValue(r, c);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      size_t level = static_cast<size_t>(node.levels[i]);
-      if (level > 0) {
-        row[qid.column(i)] =
-            Value(qid.hierarchy(i).LevelValue(level, gen[i]).ToString());
-      }
-    }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
-  }
+  result.view = MaterializeView(table, qid, node, violating_groups,
+                                &result.suppressed_tuples);
   return result;
 }
 

@@ -71,7 +71,8 @@ struct DiverseRecodeResult {
 /// Materializes the full-domain generalization `node` with BOTH criteria
 /// enforced: equivalence classes smaller than k or with fewer than ℓ
 /// distinct sensitive values are suppressed (within the configured
-/// budget; fails with FailedPrecondition otherwise). The counterpart of
+/// budget; fails with FailedPrecondition otherwise). A node that fails
+/// CheckFullNode (core/recoder.h) is rejected first. The counterpart of
 /// ApplyFullDomainGeneralization for results of RunLDiversityIncognito.
 Result<DiverseRecodeResult> ApplyDiverseGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,

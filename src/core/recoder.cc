@@ -1,5 +1,6 @@
 #include "core/recoder.h"
 
+#include <set>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -8,9 +9,7 @@
 
 namespace incognito {
 
-Result<RecodeResult> ApplyFullDomainGeneralization(
-    const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
-    const AnonymizationConfig& config) {
+Status CheckFullNode(const QuasiIdentifier& qid, const SubsetNode& node) {
   if (node.size() != qid.size()) {
     return Status::InvalidArgument(
         "node must generalize the full quasi-identifier");
@@ -27,6 +26,13 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
           qid.name(i).c_str()));
     }
   }
+  return Status::OK();
+}
+
+Result<RecodeResult> ApplyFullDomainGeneralization(
+    const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
+    const AnonymizationConfig& config) {
+  INCOGNITO_RETURN_IF_ERROR(CheckFullNode(qid, node));
 
   // Identify the tuples to suppress: members of groups smaller than k.
   FrequencySet freq = FrequencySet::Compute(table, qid, node);
@@ -40,44 +46,25 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
         static_cast<long long>(config.max_suppressed)));
   }
 
-  // Collect the undersized group keys for the suppression pass.
-  const size_t n = qid.size();
-  std::vector<size_t> cards(n);
-  for (size_t i = 0; i < n; ++i) {
-    cards[i] =
-        qid.hierarchy(i).DomainSize(static_cast<size_t>(node.levels[i]));
-  }
-  KeyCodec codec = KeyCodec::Create(cards);
-  // The packed fast path is used for membership tests; with >64-bit keys we
-  // fall back to a string-keyed set.
-  std::unordered_set<uint64_t> small_packed;
-  std::unordered_set<std::string> small_str;
-  auto group_string = [n](const int32_t* codes) {
-    std::string s;
-    for (size_t i = 0; i < n; ++i) {
-      s += StringPrintf("%d,", codes[i]);
-    }
-    return s;
-  };
+  // Suppress the members of the undersized groups.
+  std::vector<int32_t> small_groups;
   freq.ForEachGroup([&](const int32_t* codes, int64_t count) {
     if (count < config.k) {
-      if (codec.packed()) {
-        small_packed.insert(codec.Pack(codes));
-      } else {
-        small_str.insert(group_string(codes));
-      }
+      small_groups.insert(small_groups.end(), codes, codes + qid.size());
     }
   });
-
-  // Output schema: QID columns generalized above level 0 become strings.
-  std::vector<ColumnSpec> specs(table.schema().columns());
-  for (size_t i = 0; i < n; ++i) {
-    if (node.levels[i] > 0) specs[qid.column(i)].type = DataType::kString;
-  }
   RecodeResult result;
-  result.view = Table{Schema(std::move(specs))};
+  result.view = MaterializeView(table, qid, node, small_groups,
+                                &result.suppressed_tuples);
+  return result;
+}
 
-  // Per-attribute base→level maps for the generalization pass.
+Table MaterializeView(const Table& table, const QuasiIdentifier& qid,
+                      const SubsetNode& node,
+                      const std::vector<int32_t>& suppressed_groups,
+                      int64_t* suppressed_tuples) {
+  const size_t n = qid.size();
+  const size_t num_rows = table.num_rows();
   std::vector<const int32_t*> maps(n);
   std::vector<const int32_t*> cols(n);
   for (size_t i = 0; i < n; ++i) {
@@ -87,29 +74,90 @@ Result<RecodeResult> ApplyFullDomainGeneralization(
     cols[i] = table.ColumnCodes(qid.column(i)).data();
   }
 
-  std::vector<Value> row(table.num_columns());
-  std::vector<int32_t> gen_codes(n);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t i = 0; i < n; ++i) gen_codes[i] = maps[i][cols[i][r]];
-    bool suppress =
-        codec.packed()
-            ? small_packed.count(codec.Pack(gen_codes.data())) > 0
-            : small_str.count(group_string(gen_codes.data())) > 0;
-    if (suppress) {
-      ++result.suppressed_tuples;
-      continue;
-    }
-    for (size_t c = 0; c < table.num_columns(); ++c) row[c] = table.GetValue(r, c);
+  // keep[r] == 0 marks a suppressed row; empty when nothing is suppressed.
+  // Packed keys test membership in a set of 64-bit keys, wider keys in a
+  // set of code vectors.
+  std::vector<uint8_t> keep;
+  *suppressed_tuples = 0;
+  if (!suppressed_groups.empty()) {
+    keep.assign(num_rows, 1);
+    std::vector<size_t> cards(n);
     for (size_t i = 0; i < n; ++i) {
-      size_t level = static_cast<size_t>(node.levels[i]);
-      if (level > 0) {
-        row[qid.column(i)] =
-            Value(qid.hierarchy(i).LevelValue(level, gen_codes[i]).ToString());
+      cards[i] =
+          qid.hierarchy(i).DomainSize(static_cast<size_t>(node.levels[i]));
+    }
+    const KeyCodec codec = KeyCodec::Create(cards);
+    std::unordered_set<uint64_t> packed;
+    std::set<std::vector<int32_t>> wide;
+    for (size_t g = 0; g < suppressed_groups.size(); g += n) {
+      const int32_t* codes = suppressed_groups.data() + g;
+      if (codec.packed()) {
+        packed.insert(codec.Pack(codes));
+      } else {
+        wide.emplace(codes, codes + n);
       }
     }
-    INCOGNITO_RETURN_IF_ERROR(result.view.AppendRow(row));
+    std::vector<int32_t> gen(n);
+    for (size_t r = 0; r < num_rows; ++r) {
+      for (size_t i = 0; i < n; ++i) gen[i] = maps[i][cols[i][r]];
+      const bool suppress = codec.packed()
+                                ? packed.count(codec.Pack(gen.data())) > 0
+                                : wide.count(gen) > 0;
+      if (suppress) {
+        keep[r] = 0;
+        ++*suppressed_tuples;
+      }
+    }
   }
-  return result;
+
+  // The QID attribute each column shows: a column generalized above level
+  // 0 becomes a string column of level labels (the last such attribute
+  // wins when two share a column).
+  const size_t num_columns = table.num_columns();
+  std::vector<ColumnSpec> specs(table.schema().columns());
+  std::vector<int64_t> shown(num_columns, -1);
+  for (size_t i = 0; i < n; ++i) {
+    if (node.levels[i] > 0) {
+      specs[qid.column(i)].type = DataType::kString;
+      shown[qid.column(i)] = static_cast<int64_t>(i);
+    }
+  }
+  const size_t kept = num_rows - static_cast<size_t>(*suppressed_tuples);
+  std::vector<Dictionary> dictionaries(num_columns);
+  std::vector<std::vector<int32_t>> columns(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    const int32_t* src = table.ColumnCodes(c).data();
+    const Dictionary& source = table.dictionary(c);
+    const ValueHierarchy* hierarchy = nullptr;
+    const int32_t* map = nullptr;
+    size_t level = 0;
+    size_t domain = source.size();
+    if (shown[c] >= 0) {
+      const size_t i = static_cast<size_t>(shown[c]);
+      hierarchy = &qid.hierarchy(i);
+      map = maps[i];
+      level = static_cast<size_t>(node.levels[i]);
+      domain = hierarchy->DomainSize(level);
+    }
+    std::vector<int32_t> remap(domain, -1);
+    Dictionary& dict = dictionaries[c];
+    std::vector<int32_t>& out = columns[c];
+    out.reserve(kept);
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (!keep.empty() && keep[r] == 0) continue;
+      const int32_t key = map != nullptr ? map[src[r]] : src[r];
+      int32_t& code = remap[static_cast<size_t>(key)];
+      if (code < 0) {
+        code = map != nullptr
+                   ? dict.GetOrInsert(
+                         Value(hierarchy->LevelValue(level, key).ToString()))
+                   : dict.GetOrInsert(source.value(key));
+      }
+      out.push_back(code);
+    }
+  }
+  return Table::FromColumns(Schema(std::move(specs)), std::move(dictionaries),
+                            std::move(columns));
 }
 
 }  // namespace incognito

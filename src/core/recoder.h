@@ -2,6 +2,7 @@
 #define INCOGNITO_CORE_RECODER_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "core/checker.h"
@@ -35,6 +36,25 @@ struct RecodeResult {
 Result<RecodeResult> ApplyFullDomainGeneralization(
     const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
     const AnonymizationConfig& config);
+
+/// OK when `node` spans the full quasi-identifier (dims 0..n-1) at levels
+/// within each hierarchy; InvalidArgument or OutOfRange otherwise. Both
+/// full-domain recoders check their node with it before touching data.
+Status CheckFullNode(const QuasiIdentifier& qid, const SubsetNode& node);
+
+/// The materialization step both full-domain recoders share (this one and
+/// ApplyDiverseGeneralization): the view of `table` at `node`, a node that
+/// passes CheckFullNode, without the rows whose generalized QID codes form
+/// one of `suppressed_groups` (qid.size() codes per group, back to back);
+/// *suppressed_tuples counts those rows. It works on codes: each output
+/// column maps a source code (level 0 and non-QID columns) or a base→level
+/// code to its view code through a first-seen remap, so the view
+/// dictionaries get one insert per distinct code, in the order a
+/// row-by-row build would insert them.
+Table MaterializeView(const Table& table, const QuasiIdentifier& qid,
+                      const SubsetNode& node,
+                      const std::vector<int32_t>& suppressed_groups,
+                      int64_t* suppressed_tuples);
 
 }  // namespace incognito
 

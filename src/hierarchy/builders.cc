@@ -1,20 +1,24 @@
 #include "hierarchy/builders.h"
 
+#include <functional>
 #include <unordered_map>
 
 #include "common/strings.h"
 
 namespace incognito {
 
-Result<ValueHierarchy> BuildHierarchyFromFunctions(
-    std::string attribute_name, const Dictionary& base,
-    const std::vector<std::function<Value(const Value&)>>& level_fns) {
+namespace {
+
+/// The grouping step behind every builder: `label(l, b)` is the level-(l+1)
+/// label of base code b, for l < num_gen_levels.
+Result<ValueHierarchy> BuildFromLabels(
+    std::string attribute_name, const Dictionary& base, size_t num_gen_levels,
+    const std::function<Value(size_t level, int32_t base_code)>& label) {
   size_t base_size = base.size();
   if (base_size == 0) {
     return Status::InvalidArgument("hierarchy '" + attribute_name +
                                    "': base domain is empty");
   }
-  size_t num_gen_levels = level_fns.size();
 
   // level_values[0] mirrors the base dictionary.
   std::vector<std::vector<Value>> level_values(num_gen_levels + 1);
@@ -35,8 +39,8 @@ Result<ValueHierarchy> BuildHierarchyFromFunctions(
     std::vector<int32_t> cur_code(base_size);
     parents[l].assign(level_values[l].size(), -1);
     for (size_t b = 0; b < base_size; ++b) {
-      Value label = level_fns[l](base.value(static_cast<int32_t>(b)));
-      cur_code[b] = level_dict.GetOrInsert(label);
+      cur_code[b] =
+          level_dict.GetOrInsert(label(l, static_cast<int32_t>(b)));
       int32_t p = prev_code[b];
       if (parents[l][static_cast<size_t>(p)] == -1) {
         parents[l][static_cast<size_t>(p)] = cur_code[b];
@@ -60,6 +64,17 @@ Result<ValueHierarchy> BuildHierarchyFromFunctions(
                                 std::move(level_values), std::move(parents));
 }
 
+}  // namespace
+
+Result<ValueHierarchy> BuildHierarchyFromFunctions(
+    std::string attribute_name, const Dictionary& base,
+    const std::vector<std::function<Value(const Value&)>>& level_fns) {
+  return BuildFromLabels(std::move(attribute_name), base, level_fns.size(),
+                         [&](size_t level, int32_t base_code) {
+                           return level_fns[level](base.value(base_code));
+                         });
+}
+
 TaxonomyHierarchyBuilder& TaxonomyHierarchyBuilder::AddLeaf(
     const Value& leaf, std::vector<Value> ancestors) {
   if (path_length_ == 0 && paths_.empty()) {
@@ -81,23 +96,24 @@ Result<ValueHierarchy> TaxonomyHierarchyBuilder::Build(
     return Status::InvalidArgument("taxonomy '" + attribute_name_ +
                                    "': no generalization levels registered");
   }
-  // Verify every dictionary value has a path before building.
+  // Resolve every dictionary value's path (one label lookup each) before
+  // building.
+  std::vector<const std::vector<Value>*> path_of(base.size());
   for (size_t b = 0; b < base.size(); ++b) {
     const Value& leaf = base.value(static_cast<int32_t>(b));
-    if (paths_.find(leaf.ToString()) == paths_.end()) {
+    auto it = paths_.find(leaf.ToString());
+    if (it == paths_.end()) {
       return Status::NotFound("taxonomy '" + attribute_name_ +
                               "': no path registered for value '" +
                               leaf.ToString() + "'");
     }
+    path_of[b] = &it->second;
   }
-  std::vector<std::function<Value(const Value&)>> fns;
-  fns.reserve(path_length_);
-  for (size_t l = 0; l < path_length_; ++l) {
-    fns.push_back([this, l](const Value& leaf) {
-      return paths_.at(leaf.ToString())[l];
-    });
-  }
-  return BuildHierarchyFromFunctions(attribute_name_, base, fns);
+  return BuildFromLabels(attribute_name_, base, path_length_,
+                         [&](size_t level, int32_t base_code) {
+                           return (*path_of[static_cast<size_t>(base_code)])
+                               [level];
+                         });
 }
 
 Result<ValueHierarchy> BuildSuppressionHierarchy(std::string attribute_name,

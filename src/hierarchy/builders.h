@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <unordered_map>
 #include <string>
 #include <vector>
 
@@ -43,7 +43,8 @@ class TaxonomyHierarchyBuilder {
 
  private:
   std::string attribute_name_;
-  std::map<std::string, std::vector<Value>> paths_;  // keyed on leaf label
+  // Keyed on the leaf's label.
+  std::unordered_map<std::string, std::vector<Value>> paths_;
   size_t path_length_ = 0;
   bool length_conflict_ = false;
 };

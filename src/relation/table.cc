@@ -16,6 +16,26 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Table Table::FromColumns(Schema schema, std::vector<Dictionary> dictionaries,
+                         std::vector<std::vector<int32_t>> columns) {
+  assert(dictionaries.size() == schema.num_columns());
+  assert(columns.size() == schema.num_columns());
+  Table out;
+  out.schema_ = std::move(schema);
+  out.num_rows_ = columns.empty() ? 0 : columns[0].size();
+  out.dictionaries_.reserve(dictionaries.size());
+  for (size_t c = 0; c < dictionaries.size(); ++c) {
+    assert(columns[c].size() == out.num_rows_);
+    assert(std::all_of(columns[c].begin(), columns[c].end(), [&](int32_t v) {
+      return v >= 0 && static_cast<size_t>(v) < dictionaries[c].size();
+    }));
+    out.dictionaries_.push_back(
+        std::make_shared<Dictionary>(std::move(dictionaries[c])));
+  }
+  out.columns_ = std::move(columns);
+  return out;
+}
+
 namespace {
 
 bool TypeMatches(const Value& v, DataType type) {

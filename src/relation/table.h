@@ -30,6 +30,13 @@ class Table {
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;
 
+  /// Builds a table from whole code columns and their dictionaries, one of
+  /// each per schema column. Every column must have the same length and
+  /// every code must index its column's dictionary (checked with assert).
+  static Table FromColumns(Schema schema,
+                           std::vector<Dictionary> dictionaries,
+                           std::vector<std::vector<int32_t>> columns);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return schema_.num_columns(); }

@@ -1,5 +1,6 @@
 #include "relation/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
 
@@ -23,12 +24,20 @@ std::string Value::ToString() const {
   if (is_null()) return "";
   if (is_int64()) return StringPrintf("%lld", static_cast<long long>(int64()));
   if (is_double()) {
-    // Render integral doubles without a trailing ".000000".
+    // Integral doubles render as "3.0"; every other double in the
+    // shortest form that parses back to the same bits. Either way the
+    // text never reads as an integer, so a double column stays double.
     double d = dbl();
     if (d == std::floor(d) && std::abs(d) < 1e15) {
       return StringPrintf("%.1f", d);
     }
-    return StringPrintf("%g", d);
+    char buf[64];
+    char* end = std::to_chars(buf, buf + sizeof(buf), d).ptr;
+    std::string out(buf, end);
+    if (out.find_first_not_of("-0123456789") == std::string::npos) {
+      out += ".0";
+    }
+    return out;
   }
   return str();
 }

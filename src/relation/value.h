@@ -43,7 +43,9 @@ class Value {
   double dbl() const { return std::get<double>(rep_); }
   const std::string& str() const { return std::get<std::string>(rep_); }
 
-  /// Renders the value for display/CSV. NULL renders as the empty string.
+  /// Renders the value for display/CSV. NULL renders as the empty string;
+  /// an integral double below 1e15 as "3.0", any other double in the
+  /// shortest form that parses back to it (never as an integer).
   std::string ToString() const;
 
   /// Total order over values: NULL < int64/double (numeric order) < string

@@ -1,6 +1,7 @@
 #include "robust/safe_io.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -35,10 +36,23 @@ Result<std::string> ReadFileToString(const std::string& path,
       Status::IOError("injected open failure reading '" + path + "'"));
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IOError("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << file.rdbuf();
+  // Read a regular file in one call into a buffer of its size; whatever
+  // the size did not cover (a pipe, a file that grew) is streamed after.
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  std::string content;
+  if (!size_error && size > 0) {
+    content.resize(static_cast<size_t>(size));
+    file.read(content.data(), static_cast<std::streamsize>(size));
+    content.resize(static_cast<size_t>(file.gcount()));
+  }
+  if (file.good()) {
+    std::ostringstream rest;
+    rest << file.rdbuf();
+    content += rest.str();
+  }
   if (file.bad()) return Status::IOError("read from '" + path + "' failed");
-  return buf.str();
+  return content;
 }
 
 Status WriteFileAtomic(const std::string& path, const std::string& content,

@@ -238,6 +238,36 @@ TEST_F(LDiversityTest, DiverseRecoderRejectsOverBudget) {
   EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(LDiversityTest, DiverseRecoderRejectsMalformedNodes) {
+  LDiversityConfig config;
+  config.k = 2;
+  config.l = 2;
+  config.sensitive_attribute = "Disease";
+  // Partial QID.
+  EXPECT_EQ(ApplyDiverseGeneralization(table_, qid_, SubsetNode({0, 1}, {1, 1}),
+                                       config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Level out of range.
+  EXPECT_EQ(ApplyDiverseGeneralization(table_, qid_,
+                                       SubsetNode::Full({5, 1, 0}), config)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(ApplyDiverseGeneralization(table_, qid_,
+                                       SubsetNode::Full({1, -1, 0}), config)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  // Wrong dims.
+  EXPECT_EQ(ApplyDiverseGeneralization(
+                table_, qid_, SubsetNode({0, 1, 3}, {1, 1, 0}), config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(LDiversityRandomTest, MonotoneUnderGeneralization) {
   // The property that justifies reusing Incognito's search: if a node is
   // (k,l)-diverse, so are its direct generalizations.

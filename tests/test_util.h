@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "hierarchy/hierarchy.h"
 #include "lattice/lattice.h"
 #include "lattice/node.h"
+#include "relation/csv.h"
 #include "relation/table.h"
 
 namespace incognito {
@@ -226,6 +228,136 @@ inline RandomDataset MakeWideQidDataset(size_t num_attrs) {
   out.qid = QuasiIdentifier::Create(table, std::move(hierarchies)).value();
   out.table = std::move(table);
   return out;
+}
+
+/// The reference CSV parser: the line-at-a-time, Value-per-cell algorithm
+/// ParseCsv replaced (getline per line, every cell kept as a string, type
+/// inference and Value conversion per cell, AppendRow per row). Kept as a
+/// referee for the code-level parser, like Oracle for the search. It does
+/// not accept line breaks inside quoted fields ("unterminated quote").
+inline Result<Table> ReferenceParseCsv(const std::string& content,
+                                       const CsvReadOptions& options = {}) {
+  auto split = [](const std::string& line, char sep,
+                  std::vector<std::string>* fields) {
+    fields->clear();
+    std::string cur;
+    bool in_quotes = false;
+    for (size_t i = 0; i < line.size(); ++i) {
+      char ch = line[i];
+      if (in_quotes) {
+        if (ch == '"') {
+          if (i + 1 < line.size() && line[i + 1] == '"') {
+            cur += '"';
+            ++i;
+          } else {
+            in_quotes = false;
+          }
+        } else {
+          cur += ch;
+        }
+      } else if (ch == '"' && cur.empty()) {
+        in_quotes = true;
+      } else if (ch == sep) {
+        fields->push_back(std::move(cur));
+        cur.clear();
+      } else {
+        cur += ch;
+      }
+    }
+    if (in_quotes) return false;
+    fields->push_back(std::move(cur));
+    return true;
+  };
+  auto infer = [](const std::vector<std::vector<std::string>>& rows,
+                  size_t col) {
+    bool all_int = true, all_double = true, any_value = false;
+    for (const auto& row : rows) {
+      const std::string& cell = row[col];
+      if (cell.empty()) continue;
+      any_value = true;
+      int64_t iv;
+      double dv;
+      if (!ParseInt64(cell, &iv)) all_int = false;
+      if (!ParseDouble(cell, &dv)) all_double = false;
+      if (!all_int && !all_double) break;
+    }
+    if (!any_value) return DataType::kString;
+    if (all_int) return DataType::kInt64;
+    if (all_double) return DataType::kDouble;
+    return DataType::kString;
+  };
+  auto to_value = [](const std::string& cell, DataType type) {
+    if (cell.empty()) return Value();
+    if (type == DataType::kInt64) {
+      int64_t v = 0;
+      ParseInt64(cell, &v);
+      return Value(v);
+    }
+    if (type == DataType::kDouble) {
+      double v = 0;
+      ParseDouble(cell, &v);
+      return Value(v);
+    }
+    return Value(cell);
+  };
+
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream in(content);
+  std::string line;
+  size_t line_no = 0;
+  size_t arity = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() && in.eof()) break;
+    if (options.max_row_bytes > 0 && line.size() > options.max_row_bytes) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu is %zu bytes, over the %zu-byte row limit", line_no,
+          line.size(), options.max_row_bytes));
+    }
+    if (line.find('\0') != std::string::npos) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu contains an embedded NUL byte", line_no));
+    }
+    std::vector<std::string> fields;
+    if (!split(line, options.separator, &fields)) {
+      return Status::InvalidArgument(
+          StringPrintf("unterminated quote on line %zu", line_no));
+    }
+    if (line_no == 1 && options.has_header) {
+      header = std::move(fields);
+      arity = header.size();
+      continue;
+    }
+    if (arity == 0) arity = fields.size();
+    if (fields.size() != arity) {
+      return Status::InvalidArgument(StringPrintf(
+          "line %zu has %zu fields, expected %zu", line_no, fields.size(),
+          arity));
+    }
+    rows.push_back(std::move(fields));
+  }
+  if (arity == 0) return Status::InvalidArgument("empty CSV input");
+
+  std::vector<ColumnSpec> specs;
+  for (size_t c = 0; c < arity; ++c) {
+    ColumnSpec spec;
+    spec.name = options.has_header ? header[c] : StringPrintf("col%zu", c);
+    spec.type = options.infer_types && !rows.empty() ? infer(rows, c)
+                                                     : DataType::kString;
+    specs.push_back(std::move(spec));
+  }
+  Table table{Schema(std::move(specs))};
+  std::vector<Value> row_values(arity);
+  for (const auto& row : rows) {
+    for (size_t c = 0; c < arity; ++c) {
+      row_values[c] = to_value(row[c], table.schema().column(c).type);
+    }
+    Status appended = table.AppendRow(row_values);
+    if (!appended.ok()) return appended;
+  }
+  return table;
 }
 
 /// Makes a full-QID SubsetNode from a level vector.
