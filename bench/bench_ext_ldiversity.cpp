@@ -3,6 +3,13 @@
 // Salary-class as the sensitive attribute and the remaining 8 attributes
 // as quasi-identifier prefixes.
 //
+// The search is RunIncognito's own (Basic variant, one worker here): its
+// frequency sets are the ordinary ones over node ∪ {S}, S the sensitive
+// column as the last key field at level 0, and a node passes when every
+// QID group — a run of entries sharing all fields but S — has k tuples and
+// a run length of at least ℓ (docs/ALGORITHMS.md §9). Scans, rollups and
+// nodes checked are therefore counted exactly as for k-anonymity.
+//
 // Reports, per (QID size, ℓ): runtime, nodes checked, and how much the
 // added diversity constraint shrinks the solution set relative to plain
 // k-anonymity — the privacy/utility trade the extension buys.

@@ -14,7 +14,6 @@
 #include "core/ldiversity.h"
 #include "core/minimality.h"
 #include "data/patients.h"
-#include "freq/sensitive_frequency_set.h"
 #include "hierarchy/builders.h"
 
 using namespace incognito;
@@ -82,11 +81,11 @@ int main() {
   // Inspect its groups: the 53715 group is homogeneous.
   size_t diag_col =
       static_cast<size_t>(clinic->table.schema().FindColumn("Diagnosis"));
-  SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
-      clinic->table, clinic->qid, kmin, diag_col);
+  FrequencySet fs =
+      ComputeSensitiveSet(clinic->table, clinic->qid, kmin, diag_col);
   printf("Its equivalence classes (count / distinct diagnoses):\n");
-  fs.ForEachGroup([&](const int32_t* codes, int64_t count,
-                      int64_t distinct) {
+  fs.ForEachQidGroup([&](const int32_t* codes, int64_t count,
+                         int64_t distinct) {
     printf("  class [");
     for (size_t i = 0; i < clinic->qid.size(); ++i) {
       if (i > 0) printf(", ");
@@ -121,12 +120,12 @@ int main() {
   }
   if (!diverse->diverse_nodes.empty()) {
     SubsetNode lmin = MinimalByHeight(diverse->diverse_nodes).front();
-    SensitiveFrequencySet lfs = SensitiveFrequencySet::Compute(
-        clinic->table, clinic->qid, lmin, diag_col);
+    FrequencySet lfs =
+        ComputeSensitiveSet(clinic->table, clinic->qid, lmin, diag_col);
     printf("Minimal choice %s classes:\n",
            lmin.ToString(&clinic->qid).c_str());
-    lfs.ForEachGroup([&](const int32_t* codes, int64_t count,
-                         int64_t distinct) {
+    lfs.ForEachQidGroup([&](const int32_t* codes, int64_t count,
+                            int64_t distinct) {
       (void)codes;
       printf("  %lld tuples, %lld distinct diagnoses\n",
              static_cast<long long>(count), static_cast<long long>(distinct));

@@ -55,8 +55,8 @@ Result<ResumeDecision> DecideResume(const CheckpointPolicy* policy,
     if (policy->resume == ResumeMode::kRequire) {
       return Status::FailedPrecondition(
           "checkpoint '" + policy->path +
-          "' was written by a different run configuration (k, dataset "
-          "shape, hierarchy heights, or variant differ)");
+          "' was written by a different run configuration (k, l, sensitive "
+          "column, dataset shape, hierarchy heights, or variant differ)");
     }
     return decision;
   }

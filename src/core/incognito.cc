@@ -64,16 +64,23 @@ struct Lane {
 /// subset task on its own worker. With a pool, each level is partitioned
 /// across it, worker w charging lanes[w] — the apex graph, which has the
 /// pool to itself.
+///
+/// With a non-null `diversity` the frequency sets are built over
+/// node ∪ {S}: `key_qid` is the search QID plus the sensitive column as
+/// its last attribute (QuasiIdentifier::WithSensitive), and a node passes
+/// the grouped (k, ℓ) check instead of the k-anonymity check.
 class GraphWalk {
  public:
-  GraphWalk(const Table& table, const QuasiIdentifier& qid,
+  GraphWalk(const Table& table, const QuasiIdentifier& key_qid,
             const AnonymizationConfig& config,
+            const DiversityPredicate* diversity,
             const IncognitoOptions& options, const ZeroGenCube* cube,
             ExecutionGovernor* governor, WorkerPool* pool,
             std::vector<Lane> lanes)
       : table_(table),
-        qid_(qid),
+        qid_(key_qid),
         config_(config),
+        diversity_(diversity),
         options_(options),
         cube_(cube),
         governor_(governor),
@@ -166,7 +173,7 @@ class GraphWalk {
         ++main_stats.table_scans;
         INCOGNITO_COUNT("freq.scans");
         FrequencySet super_freq = std::move(FrequencySet::ComputeBatch(
-            table_, qid_, {super}, pool_, governor_)[0]);
+            table_, qid_, {KeyNode(std::move(super))}, pool_, governor_)[0]);
         main_stats.freq_groups_built +=
             static_cast<int64_t>(super_freq.NumGroups());
         Status charged =
@@ -203,7 +210,7 @@ class GraphWalk {
         std::vector<SubsetNode> nodes;
         nodes.reserve(group.size());
         for (int64_t id : group) {
-          nodes.push_back(graph.node(id).ToSubsetNode());
+          nodes.push_back(KeyNode(graph.node(id).ToSubsetNode()));
         }
         ++main_stats.table_scans;
         main_stats.batched_scan_nodes += static_cast<int64_t>(group.size());
@@ -315,7 +322,7 @@ class GraphWalk {
           bool anonymous;
           {
             INCOGNITO_PHASE_TIMER("phase.kcheck_seconds");
-            anonymous = freq.IsKAnonymous(config_.k, config_.max_suppressed);
+            anonymous = Passes(freq);
           }
           if (anonymous) {
             lane.shard->ReleaseMemory(freq_bytes);
@@ -425,6 +432,25 @@ class GraphWalk {
     }
   }
 
+  /// The frequency-set node of a search node: the node itself, or
+  /// node ∪ {S} with S at level 0 as the last field.
+  SubsetNode KeyNode(SubsetNode node) const {
+    if (diversity_ != nullptr) {
+      node.dims.push_back(static_cast<int32_t>(qid_.size() - 1));
+      node.levels.push_back(0);
+    }
+    return node;
+  }
+
+  /// The privacy check: k-anonymity, or distinct (k, ℓ)-diversity over the
+  /// QID groups of a node ∪ {S} set; either within the suppression budget.
+  bool Passes(const FrequencySet& freq) const {
+    const int64_t violating =
+        diversity_ == nullptr ? freq.TuplesBelowK(config_.k)
+                              : freq.TuplesViolating(config_.k, diversity_->l);
+    return violating <= config_.max_suppressed;
+  }
+
   /// True iff the node can roll up from a retained failed specialization.
   bool HasStoredParent(
       const CandidateGraph& graph, int64_t id,
@@ -441,6 +467,7 @@ class GraphWalk {
       const std::unordered_map<int64_t, StoredEntry>& stored,
       const std::map<std::vector<int32_t>, FrequencySet>& family_freq,
       AlgorithmStats* stats) const {
+    const SubsetNode key = KeyNode(node);
     // Preferred source: a failed direct specialization's frequency set
     // (Rollup Property) — the cheapest, since it is already partially
     // aggregated.
@@ -455,7 +482,7 @@ class GraphWalk {
             governor_->LatchInjectedFailure("incognito.rollup");
           }
           ++stats->rollups;
-          return it->second.freq.RollupTo(node, qid_);
+          return it->second.freq.RollupTo(key, qid_);
         }
       }
     }
@@ -463,16 +490,16 @@ class GraphWalk {
     // frequency set of this attribute subset instead of scanning T.
     if (cube_ != nullptr) {
       ++stats->rollups;
-      return cube_->Get(node.dims).RollupTo(node, qid_);
+      return cube_->Get(node.dims).RollupTo(key, qid_);
     }
     auto fam = family_freq.find(node.dims);
     if (fam != family_freq.end()) {
       ++stats->rollups;
-      return fam->second.RollupTo(node, qid_);
+      return fam->second.RollupTo(key, qid_);
     }
     // Fallback: scan the table (Basic Incognito roots).
     ++stats->table_scans;
-    return FrequencySet::Compute(table_, qid_, node);
+    return FrequencySet::Compute(table_, qid_, key);
   }
 
   void MarkGeneralizations(const CandidateGraph& graph, int64_t id,
@@ -492,6 +519,7 @@ class GraphWalk {
   const Table& table_;
   const QuasiIdentifier& qid_;
   const AnonymizationConfig& config_;
+  const DiversityPredicate* diversity_;  // null: plain k-anonymity
   const IncognitoOptions& options_;
   const ZeroGenCube* cube_;
   ExecutionGovernor* governor_;  // never null; unlimited when ungoverned
@@ -543,13 +571,8 @@ Result<CandidateGraph> SearchGraph(GraphWalk& walk,
   return graph.InducedSubgraph(keep);
 }
 
-}  // namespace
-
-PartialResult<IncognitoResult> RunIncognito(const Table& table,
-                                            const QuasiIdentifier& qid,
-                                            const AnonymizationConfig& config,
-                                            const IncognitoOptions& options,
-                                            const RunContext& ctx) {
+Status ValidateSearch(const QuasiIdentifier& qid,
+                      const AnonymizationConfig& config) {
   if (config.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
@@ -563,7 +586,17 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
     return Status::InvalidArgument(
         "quasi-identifier has more than 64 attributes");
   }
+  return Status::OK();
+}
 
+/// The one search behind both RunIncognito overloads; `diversity` null
+/// searches for k-anonymity.
+PartialResult<IncognitoResult> Search(const Table& table,
+                                      const QuasiIdentifier& qid,
+                                      const AnonymizationConfig& config,
+                                      const DiversityPredicate* diversity,
+                                      const IncognitoOptions& options,
+                                      const RunContext& ctx) {
   INCOGNITO_SPAN("incognito.run");
   INCOGNITO_COUNT("incognito.runs");
   Stopwatch total_timer;
@@ -597,9 +630,18 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
   std::unique_ptr<CheckpointManager> ckpt;
   CheckpointFingerprint fingerprint;
   if (ctx.checkpoint != nullptr && ctx.checkpoint->enabled()) {
-    fingerprint = MakeCheckpointFingerprint(table, qid, config, options);
+    fingerprint =
+        MakeCheckpointFingerprint(table, qid, config, options, diversity);
     ckpt = std::make_unique<CheckpointManager>(*ctx.checkpoint, fingerprint);
   }
+
+  // The QID the frequency sets key on: the search QID, or for ℓ-diversity
+  // that QID plus the sensitive column as node ∪ {S}'s last field.
+  const QuasiIdentifier key_qid =
+      diversity != nullptr
+          ? qid.WithSensitive(table, diversity->sensitive_column)
+          : QuasiIdentifier();
+  const QuasiIdentifier& freq_qid = diversity != nullptr ? key_qid : qid;
 
   ZeroGenCube cube;
   // Drains every shard back into the governor, folds the workers' stats
@@ -829,8 +871,8 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
 #endif
     pool.Run(static_cast<size_t>(workers), [&](int w, size_t, size_t) {
       const Lane& lane = lanes[static_cast<size_t>(w)];
-      GraphWalk walk(table, qid, config, options, cube_ptr, governor,
-                     nullptr, {lane});
+      GraphWalk walk(table, freq_qid, config, diversity, options, cube_ptr,
+                     governor, nullptr, {lane});
       std::unique_lock<std::mutex> lock(mu);
       for (;;) {
         cv.wait(lock,
@@ -955,8 +997,8 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
     CandidateGraph apex =
         SubsetCandidates(qid, full, parent_graphs(full), lanes[0].shard);
     lanes[0].stats->candidate_nodes += static_cast<int64_t>(apex.num_nodes());
-    GraphWalk walk(table, qid, config, options, cube_ptr, governor, &pool,
-                   lanes);
+    GraphWalk walk(table, freq_qid, config, diversity, options, cube_ptr,
+                   governor, &pool, lanes);
     Result<CandidateGraph> survivors = SearchGraph(walk, apex);
     if (!survivors.ok()) return stop_early(survivors.status());
     apex_nodes = SortedNodes(survivors.value());
@@ -975,6 +1017,42 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
   if (ckpt != nullptr) ckpt->WriteNow();  // make the final unit durable
   finalize();
   return result;
+}
+
+}  // namespace
+
+PartialResult<IncognitoResult> RunIncognito(const Table& table,
+                                            const QuasiIdentifier& qid,
+                                            const AnonymizationConfig& config,
+                                            const IncognitoOptions& options,
+                                            const RunContext& ctx) {
+  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config));
+  return Search(table, qid, config, nullptr, options, ctx);
+}
+
+PartialResult<IncognitoResult> RunIncognito(const Table& table,
+                                            const QuasiIdentifier& qid,
+                                            const AnonymizationConfig& config,
+                                            const DiversityPredicate& diversity,
+                                            const IncognitoOptions& options,
+                                            const RunContext& ctx) {
+  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config));
+  if (diversity.l < 1) return Status::InvalidArgument("l must be >= 1");
+  if (diversity.sensitive_column >= table.num_columns()) {
+    return Status::InvalidArgument("sensitive column out of range");
+  }
+  for (size_t i = 0; i < qid.size(); ++i) {
+    if (qid.column(i) == diversity.sensitive_column) {
+      return Status::InvalidArgument("sensitive attribute '" + qid.name(i) +
+                                     "' must not be part of the "
+                                     "quasi-identifier");
+    }
+  }
+  if (options.variant == IncognitoVariant::kCube) {
+    return Status::InvalidArgument(
+        "Cube Incognito does not search for l-diversity");
+  }
+  return Search(table, qid, config, &diversity, options, ctx);
 }
 
 }  // namespace incognito

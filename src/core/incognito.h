@@ -124,6 +124,30 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const IncognitoOptions& options = {},
                                             const RunContext& ctx = {});
 
+/// Distinct ℓ-diversity over one sensitive column S: the predicate
+/// RunLDiversityIncognito (core/ldiversity.h) adds to k-anonymity.
+struct DiversityPredicate {
+  size_t sensitive_column = 0;  ///< table column of S; not a QID column
+  int64_t l = 1;
+};
+
+/// The same search with distinct (k, ℓ)-diversity as its predicate. Each
+/// frequency set is built over node ∪ {S}, S at level 0 as the last key
+/// field (FrequencySet::TuplesViolating). A node passes when at most
+/// config.max_suppressed tuples lie in QID groups with fewer than k tuples
+/// or fewer than l distinct values of S. Distinct ℓ-diversity has the
+/// Generalization and Subset properties (docs/ALGORITHMS.md), so the
+/// result is complete and sound. Threads, scan batching, governance,
+/// checkpoints and the partial contract are RunIncognito's; the
+/// checkpoint fingerprint carries l and S. Rejects l < 1, an S out of
+/// range or inside the QID, and the kCube variant (InvalidArgument).
+PartialResult<IncognitoResult> RunIncognito(const Table& table,
+                                            const QuasiIdentifier& qid,
+                                            const AnonymizationConfig& config,
+                                            const DiversityPredicate& diversity,
+                                            const IncognitoOptions& options = {},
+                                            const RunContext& ctx = {});
+
 }  // namespace incognito
 
 #endif  // INCOGNITO_CORE_INCOGNITO_H_

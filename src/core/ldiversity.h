@@ -8,6 +8,7 @@
 #include "core/checker.h"
 #include "core/quasi_identifier.h"
 #include "core/run_context.h"
+#include "freq/frequency_set.h"
 #include "lattice/node.h"
 #include "relation/table.h"
 #include "robust/partial_result.h"
@@ -41,23 +42,25 @@ struct LDiversityResult {
   AlgorithmStats stats;
 };
 
-/// Incognito-style search for (distinct) ℓ-diverse full-domain
-/// generalizations — the paper's "extending the algorithmic framework ...
-/// to some of these novel alternatives" future work, as pursued by the
-/// ℓ-diversity line of follow-up papers, which reuse exactly this lattice
-/// search. Distinct ℓ-diversity satisfies both the Generalization and
-/// Subset properties (merging groups can only grow a group's set of
-/// sensitive values), so the a-priori candidate-graph machinery and
-/// bottom-up rollup apply unchanged.
+/// Incognito search for (distinct) ℓ-diverse full-domain generalizations
+/// — the paper's "extending the algorithmic framework ... to some of these
+/// novel alternatives" future work, as pursued by the ℓ-diversity line of
+/// follow-up papers. Distinct ℓ-diversity satisfies both the
+/// Generalization and Subset properties (merging groups can only grow a
+/// group's set of sensitive values), so this runs RunIncognito's one
+/// search (Basic variant, default options) with a DiversityPredicate:
+/// frequency sets over node ∪ {S} and the grouped (k, ℓ) check
+/// (docs/ALGORITHMS.md).
 ///
-/// `ctx` carries the execution parameters (docs/API.md): a default
-/// RunContext reproduces the ungoverned call. With ctx.governor set, the
-/// search polls the governor at every candidate node and charges each
-/// sensitive frequency set against its memory budget; a budget trip stops
-/// the search cleanly and returns PartialResult::Partial with
-/// diverse_nodes EMPTY and completed_iterations recording how many
-/// subset-size iterations finished (the same contract as RunIncognito's
-/// governed path). The algorithm is single-threaded: ctx.num_threads is ignored.
+/// `ctx` carries the execution parameters exactly as for RunIncognito
+/// (docs/API.md): a default RunContext runs ungoverned on one worker;
+/// ctx.num_threads sets the worker count; ctx.checkpoint records and
+/// resumes the search (the fingerprint carries l and the sensitive
+/// column, so k-anonymity and ℓ-diversity checkpoints never resume each
+/// other). With ctx.governor set, a budget trip stops the search cleanly
+/// and returns PartialResult::Partial with diverse_nodes EMPTY and
+/// completed_iterations recording how many subset-size iterations
+/// finished.
 PartialResult<LDiversityResult> RunLDiversityIncognito(
     const Table& table, const QuasiIdentifier& qid,
     const LDiversityConfig& config, const RunContext& ctx = {});
@@ -67,6 +70,14 @@ struct DiverseRecodeResult {
   Table view;
   int64_t suppressed_tuples = 0;
 };
+
+/// The frequency set of `node` ∪ {S} for sensitive column
+/// `sensitive_column`, whose TuplesViolating(k, l) and ForEachQidGroup
+/// read distinct (k, ℓ)-diversity (freq/frequency_set.h).
+FrequencySet ComputeSensitiveSet(const Table& table,
+                                 const QuasiIdentifier& qid,
+                                 const SubsetNode& node,
+                                 size_t sensitive_column);
 
 /// Materializes the full-domain generalization `node` with BOTH criteria
 /// enforced: equivalence classes smaller than k or with fewer than ℓ

@@ -33,6 +33,25 @@ QuasiIdentifier QuasiIdentifier::Prefix(size_t n) const {
   return out;
 }
 
+QuasiIdentifier QuasiIdentifier::WithSensitive(const Table& table,
+                                               size_t column) const {
+  const Dictionary& dict = table.dictionary(column);
+  std::vector<Value> base;
+  base.reserve(dict.size());
+  for (size_t c = 0; c < dict.size(); ++c) {
+    base.push_back(dict.value(static_cast<int32_t>(c)));
+  }
+  QidAttribute attr;
+  attr.column = column;
+  attr.name = table.schema().column(column).name;
+  // One level and no parent maps is always a well-formed shape.
+  attr.hierarchy =
+      ValueHierarchy::Create(attr.name, {std::move(base)}, {}).value();
+  QuasiIdentifier out = *this;
+  out.attrs_.push_back(std::move(attr));
+  return out;
+}
+
 std::vector<int32_t> QuasiIdentifier::MaxLevels() const {
   std::vector<int32_t> out;
   out.reserve(attrs_.size());

@@ -45,6 +45,12 @@ class QuasiIdentifier {
   size_t column(size_t i) const { return attrs_[i].column; }
   const std::string& name(size_t i) const { return attrs_[i].name; }
 
+  /// This quasi-identifier plus table column `column` as one more, last
+  /// attribute whose hierarchy has height 0 over the column's dictionary.
+  /// Frequency sets of node ∪ {S} for distinct ℓ-diversity key on it, with
+  /// the sensitive attribute S at dimension size() (docs/ALGORITHMS.md).
+  QuasiIdentifier WithSensitive(const Table& table, size_t column) const;
+
   /// The height of each attribute's hierarchy (the top level index).
   std::vector<int32_t> MaxLevels() const;
 

@@ -2,7 +2,7 @@
 #define INCOGNITO_FREQ_CUBE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/quasi_identifier.h"
@@ -80,7 +80,7 @@ class ZeroGenCube {
  private:
   static uint32_t MaskOf(const std::vector<int32_t>& dims);
 
-  std::unordered_map<uint32_t, FrequencySet> sets_;
+  std::map<uint32_t, FrequencySet> sets_;  // by attribute mask
 };
 
 }  // namespace incognito

@@ -413,6 +413,61 @@ void FrequencySet::ForEachGroup(
   }
 }
 
+template <typename Visit>
+void FrequencySet::ForEachRun(Visit visit) const {
+  if (packed_) {
+    // S is the lowest field, so a QID group's keys agree above its bits.
+    const uint8_t shift = codec_.bits(node_.size() - 1);
+    for (size_t i = 0; i < groups_.size();) {
+      const uint64_t qid_key = groups_[i].first >> shift;
+      int64_t count = 0;
+      size_t j = i;
+      for (; j < groups_.size() && groups_[j].first >> shift == qid_key; ++j) {
+        count += groups_[j].second;
+      }
+      visit(i, count, static_cast<int64_t>(j - i));
+      i = j;
+    }
+  } else {
+    const size_t qid_fields = node_.size() - 1;
+    for (size_t i = 0; i < vgroups_.size();) {
+      const int32_t* qid_codes = vgroups_[i].first.data();
+      int64_t count = 0;
+      size_t j = i;
+      for (; j < vgroups_.size() &&
+             std::equal(qid_codes, qid_codes + qid_fields,
+                        vgroups_[j].first.data());
+           ++j) {
+        count += vgroups_[j].second;
+      }
+      visit(i, count, static_cast<int64_t>(j - i));
+      i = j;
+    }
+  }
+}
+
+int64_t FrequencySet::TuplesViolating(int64_t k, int64_t l) const {
+  int64_t violating = 0;
+  ForEachRun([&](size_t, int64_t count, int64_t distinct) {
+    if (count < k || distinct < l) violating += count;
+  });
+  return violating;
+}
+
+void FrequencySet::ForEachQidGroup(
+    const std::function<void(const int32_t* codes, int64_t count,
+                             int64_t distinct)>& fn) const {
+  std::vector<int32_t> codes(node_.size());
+  ForEachRun([&](size_t first, int64_t count, int64_t distinct) {
+    if (packed_) {
+      codec_.Unpack(groups_[first].first, codes.data());
+      fn(codes.data(), count, distinct);
+    } else {
+      fn(vgroups_[first].first.data(), count, distinct);
+    }
+  });
+}
+
 size_t FrequencySet::MemoryBytes() const {
   if (packed_) {
     return groups_.capacity() * sizeof(groups_[0]);

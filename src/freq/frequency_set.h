@@ -121,6 +121,22 @@ class FrequencySet {
       const std::function<void(const int32_t* codes, int64_t count)>& fn)
       const;
 
+  /// Distinct (k, ℓ)-diversity, for a set built over node ∪ {S}: the
+  /// sensitive attribute S is the LAST key field, at level 0
+  /// (QuasiIdentifier::WithSensitive; docs/ALGORITHMS.md). Canonical order
+  /// is QID-major, so one QID group is a run of groups that share every
+  /// field but S: its count is the run's sum and its distinct-S count the
+  /// run's length. Returns the tuples lying in QID groups with fewer than
+  /// k tuples or fewer than l distinct sensitive values.
+  int64_t TuplesViolating(int64_t k, int64_t l) const;
+
+  /// Visits every QID group of a node ∪ {S} set (see TuplesViolating) as
+  /// (codes, count, distinct sensitive values) in canonical order; `codes`
+  /// holds the node().size() - 1 QID codes.
+  void ForEachQidGroup(
+      const std::function<void(const int32_t* codes, int64_t count,
+                               int64_t distinct)>& fn) const;
+
   /// Approximate heap footprint in bytes (for the cube-size diagnostics).
   size_t MemoryBytes() const;
 
@@ -130,6 +146,11 @@ class FrequencySet {
 
   /// Sorts groups_/vgroups_ into canonical order (see class comment).
   void SortGroups();
+
+  /// Calls visit(first group index, count, distinct) for each run of
+  /// groups sharing every key field but the last (see TuplesViolating).
+  template <typename Visit>
+  void ForEachRun(Visit visit) const;
 
   /// Shared body of RollupTo and ProjectTo: re-keys every group with
   /// recode(source codes, target codes) and sums the counts of groups

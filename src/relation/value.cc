@@ -55,6 +55,8 @@ double AsDouble(const Value& v) {
   return v.is_int64() ? static_cast<double>(v.int64()) : v.dbl();
 }
 
+bool IsNaN(const Value& v) { return v.is_double() && std::isnan(v.dbl()); }
+
 }  // namespace
 
 bool Value::operator==(const Value& other) const {
@@ -63,6 +65,7 @@ bool Value::operator==(const Value& other) const {
   if (ra != rb) return false;
   if (ra == 1) {
     if (is_int64() && other.is_int64()) return int64() == other.int64();
+    if (IsNaN(*this) || IsNaN(other)) return IsNaN(*this) && IsNaN(other);
     return AsDouble(*this) == AsDouble(other);
   }
   return str() == other.str();
@@ -74,6 +77,8 @@ bool Value::operator<(const Value& other) const {
   if (ra == 0) return false;  // NULL == NULL
   if (ra == 1) {
     if (is_int64() && other.is_int64()) return int64() < other.int64();
+    // Every NaN is one value, ordered after all numbers.
+    if (IsNaN(*this) || IsNaN(other)) return !IsNaN(*this);
     return AsDouble(*this) < AsDouble(other);
   }
   return str() < other.str();
@@ -84,6 +89,7 @@ size_t Value::Hash() const {
   if (is_int64()) return std::hash<int64_t>()(int64());
   if (is_double()) {
     double d = dbl();
+    if (std::isnan(d)) return 0x7ff8000000000000ULL;  // every NaN payload
     // Hash integral doubles like the equivalent int64 so that mixed-type
     // equality (1 == 1.0) implies equal hashes.
     if (d == std::floor(d) && std::abs(d) < 9.2e18) {

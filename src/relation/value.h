@@ -49,7 +49,8 @@ class Value {
   std::string ToString() const;
 
   /// Total order over values: NULL < int64/double (numeric order) < string
-  /// (lexicographic). Mixed int64/double compare numerically.
+  /// (lexicographic). Mixed int64/double compare numerically. Every NaN is
+  /// one value, equal to itself and ordered after all numbers.
   bool operator==(const Value& other) const;
   bool operator<(const Value& other) const;
 

@@ -16,6 +16,7 @@ namespace incognito {
 class QuasiIdentifier;
 class Table;
 struct AnonymizationConfig;
+struct DiversityPredicate;
 struct IncognitoOptions;
 
 /// Crash-safe checkpoint/restore for the Incognito lattice search
@@ -66,23 +67,30 @@ struct CheckpointFingerprint {
   int32_t variant = 0;           ///< IncognitoVariant as an integer
   bool mark_transitively = true;
   bool use_rollup = true;
+  /// Distinct ℓ-diversity: ℓ and the sensitive column's index. k-anonymity
+  /// is l = 1 with no column (-1).
+  int64_t l = 1;
+  int64_t sensitive_column = -1;
 
   bool operator==(const CheckpointFingerprint& other) const {
     return k == other.k && max_suppressed == other.max_suppressed &&
            rows == other.rows && heights == other.heights &&
            variant == other.variant &&
            mark_transitively == other.mark_transitively &&
-           use_rollup == other.use_rollup;
+           use_rollup == other.use_rollup && l == other.l &&
+           sensitive_column == other.sensitive_column;
   }
   bool operator!=(const CheckpointFingerprint& other) const {
     return !(*this == other);
   }
 };
 
-/// Builds the fingerprint of the current run.
+/// Builds the fingerprint of the current run; `diversity` is null for a
+/// k-anonymity search.
 CheckpointFingerprint MakeCheckpointFingerprint(
     const Table& table, const QuasiIdentifier& qid,
-    const AnonymizationConfig& config, const IncognitoOptions& options);
+    const AnonymizationConfig& config, const IncognitoOptions& options,
+    const DiversityPredicate* diversity = nullptr);
 
 /// The deterministic solution counters a finished unit contributed —
 /// exactly the AlgorithmStats fields covered by the bit-identity contract
@@ -115,10 +123,10 @@ struct CheckpointSnapshot {
 
 /// On-disk text format, versioned and CRC-checksummed:
 ///
-///   incognito-checkpoint 2
+///   incognito-checkpoint 3
 ///   crc <8 lowercase hex digits>
 ///   fingerprint k=... sup=... rows=... heights=h0,h1,... variant=...
-///     transitive=0|1 rollup=0|1                     (one line)
+///     transitive=0|1 rollup=0|1 l=... sensitive=<column>|-   (one line)
 ///   mask <m> survivors=<nodes> counters=<6 ints>    (one per subset)
 ///   end
 ///

@@ -70,7 +70,12 @@ bool ParseResumeModeWireName(const std::string& text, ResumeMode* out) {
 }
 
 int64_t Int64Field(const JsonValue& v) {
-  return static_cast<int64_t>(v.NumberOr(0));
+  // Clamped first: converting a double outside int64's range (1e300, or
+  // the infinity "1e999" parses to) is undefined behaviour.
+  const double d = v.NumberOr(0);
+  if (d >= 0x1p63) return INT64_MAX;
+  if (d <= -0x1p63) return INT64_MIN;
+  return static_cast<int64_t>(d);
 }
 
 /// Fills the view-identity fields from a released view.

@@ -53,6 +53,8 @@ CheckpointSnapshot SampleSnapshot() {
   snap.fingerprint.variant = 1;
   snap.fingerprint.mark_transitively = true;
   snap.fingerprint.use_rollup = false;
+  snap.fingerprint.l = 3;
+  snap.fingerprint.sensitive_column = 4;
 
   CheckpointRecord single;
   single.mask = 0b001;
@@ -145,7 +147,8 @@ TEST(CheckpointFormatTest, MalformedFixturesAreRejected) {
   for (const char* name :
        {"malformed_checkpoint_truncated.txt", "malformed_checkpoint_bitflip.txt",
         "malformed_checkpoint_version.txt", "malformed_checkpoint_magic.txt",
-        "malformed_checkpoint_noend.txt", "malformed_checkpoint_v1.txt"}) {
+        "malformed_checkpoint_noend.txt", "malformed_checkpoint_v1.txt",
+        "malformed_checkpoint_v2.txt", "malformed_checkpoint_l.txt"}) {
     std::string path = std::string(INCOGNITO_TEST_DATA_DIR) + "/" + name;
     ASSERT_TRUE(std::ifstream(path).good()) << "missing fixture " << path;
     Result<CheckpointSnapshot> loaded = LoadCheckpoint(path);
@@ -156,7 +159,7 @@ TEST(CheckpointFormatTest, MalformedFixturesAreRejected) {
 }
 
 TEST(CheckpointFormatTest, ValidFixtureStaysLoadable) {
-  // The committed fixture pins the v2 format: if serialization changes,
+  // The committed fixture pins the v3 format: if serialization changes,
   // this fails until the format version is bumped and handled. It was
   // written by `incognito_cli enumerate --checkpoint` on cli_demo.csv.
   std::string path =
@@ -164,6 +167,9 @@ TEST(CheckpointFormatTest, ValidFixtureStaysLoadable) {
   Result<CheckpointSnapshot> loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint.k, 2);
+  // A k-anonymity run: l = 1 and no sensitive column.
+  EXPECT_EQ(loaded->fingerprint.l, 1);
+  EXPECT_EQ(loaded->fingerprint.sensitive_column, -1);
   // Every subset of the 3-attribute QID, the apex (mask 7) included.
   ASSERT_EQ(loaded->records.size(), 7u);
   EXPECT_EQ(loaded->records.back().mask, 7u);
@@ -451,6 +457,71 @@ TEST(CheckpointResumeTest, AutoModeFallsBackToFreshRun) {
   EXPECT_EQ(NodeSet(corrupt->anonymous_nodes),
             NodeSet(fresh->anonymous_nodes));
   std::remove(policy.path.c_str());
+}
+
+// A k-anonymity checkpoint never warm-starts an ℓ-diversity run, nor the
+// other way round, nor one ℓ-diversity run another with a different ℓ or
+// sensitive column: each is a fingerprint mismatch.
+TEST(CheckpointResumeTest, DiversityAndAnonymityCheckpointsNeverMix) {
+  Rng rng(21);
+  testing_util::RandomDatasetOptions opts;
+  opts.num_attrs = 4;
+  RandomDataset data = MakeRandomDataset(rng, opts);
+  const QuasiIdentifier qid = data.qid.Prefix(3);
+  const DiversityPredicate diversity{data.qid.column(3), 2};
+  AnonymizationConfig config;
+  config.k = 2;
+  const std::string path = TempPath("ckpt_mixed.txt");
+
+  auto write = [&](const DiversityPredicate* predicate) {
+    std::remove(path.c_str());
+    CheckpointPolicy writer;
+    writer.path = path;
+    RunContext ctx = RunContext().WithCheckpoint(&writer);
+    PartialResult<IncognitoResult> run =
+        predicate == nullptr
+            ? RunIncognito(data.table, qid, config, {}, ctx)
+            : RunIncognito(data.table, qid, config, *predicate, {}, ctx);
+    ASSERT_TRUE(run.complete()) << run.status().ToString();
+  };
+  auto resume = [&](const DiversityPredicate* predicate) {
+    CheckpointPolicy policy;
+    policy.path = path;
+    policy.resume = ResumeMode::kRequire;
+    RunContext ctx = RunContext().WithCheckpoint(&policy);
+    return predicate == nullptr
+               ? RunIncognito(data.table, qid, config, {}, ctx)
+               : RunIncognito(data.table, qid, config, *predicate, {}, ctx);
+  };
+
+  write(nullptr);
+  Result<CheckpointSnapshot> anonymity = LoadCheckpoint(path);
+  ASSERT_TRUE(anonymity.ok());
+  EXPECT_EQ(anonymity->fingerprint.l, 1);
+  EXPECT_EQ(anonymity->fingerprint.sensitive_column, -1);
+  for (const DiversityPredicate& other :
+       {diversity, DiversityPredicate{diversity.sensitive_column, 1}}) {
+    PartialResult<IncognitoResult> run = resume(&other);
+    ASSERT_TRUE(run.hard_error());
+    EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+  }
+
+  write(&diversity);
+  Result<CheckpointSnapshot> diverse = LoadCheckpoint(path);
+  ASSERT_TRUE(diverse.ok());
+  EXPECT_EQ(diverse->fingerprint.l, 2);
+  EXPECT_EQ(diverse->fingerprint.sensitive_column,
+            static_cast<int64_t>(diversity.sensitive_column));
+  const DiversityPredicate other_l{diversity.sensitive_column, 3};
+  for (const DiversityPredicate* other :
+       {static_cast<const DiversityPredicate*>(nullptr), &other_l}) {
+    PartialResult<IncognitoResult> run = resume(other);
+    ASSERT_TRUE(run.hard_error());
+    EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
+  }
+  // Its own configuration resumes.
+  EXPECT_TRUE(resume(&diversity).complete());
+  std::remove(path.c_str());
 }
 
 // Truncates a full checkpoint to its first `keep` records and verifies a

@@ -231,6 +231,14 @@ TEST(CsvTest, SpellingsOfOneValueShareTheFirstCode) {
   EXPECT_EQ(t->ColumnCodes(1), (std::vector<int32_t>{0, 1, 0, 1}));
 }
 
+TEST(CsvTest, NaNSpellingsShareOneCode) {
+  Result<Table> t = ParseCsv("d\n1.5\nnan\nNaN\n1.5\nnan\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->schema().column(0).type, DataType::kDouble);
+  EXPECT_EQ(t->dictionary(0).size(), 2u);
+  EXPECT_EQ(t->ColumnCodes(0), (std::vector<int32_t>{0, 1, 1, 0, 1}));
+}
+
 TEST(CsvTest, WriterKeepsNewlinesCarriageReturnsAndDoubles) {
   Table t{Schema({{"s", DataType::kString}, {"d", DataType::kDouble}})};
   ASSERT_TRUE(t.AppendRow({Value("line\nbreak"), Value(1234567.25)}).ok());

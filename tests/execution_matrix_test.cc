@@ -5,6 +5,10 @@
 // against the brute-force oracle and its deterministic counters against
 // the one-worker run.
 //
+// The same rows, Basic variant only, run distinct ℓ-diversity (the
+// RunIncognito overload with a DiversityPredicate) against the std::map
+// (k, ℓ) oracle of test_util.h.
+//
 // Also here: an 18-attribute QID, whose subset DAG only stays small
 // because subsets with an empty sub-subset are never materialized, run
 // against the oracle at one and four workers, under a governed partial
@@ -254,6 +258,145 @@ TEST_P(ExecutionMatrixTest, EveryShapeMatchesOracleAndOneWorkerCounters) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, ExecutionMatrixTest,
                          ::testing::Range(0, 4));
+
+// ---------------------------------------------------------------------------
+// Distinct ℓ-diversity on the same engine
+// ---------------------------------------------------------------------------
+
+struct DiversityMatrixDataset {
+  std::string name;
+  RandomDataset data;  // qid excludes the sensitive column
+  AnonymizationConfig config;
+  DiversityPredicate diversity;
+};
+
+DiversityMatrixDataset MakeDiversityDataset(int index) {
+  DiversityMatrixDataset out;
+  out.config.k = 2;
+  switch (index) {
+    case 0: {
+      Rng rng(5);
+      testing_util::RandomDatasetOptions opts;
+      opts.num_attrs = 4;
+      RandomDataset data = testing_util::MakeRandomDataset(rng, opts);
+      out.name = "random-5";
+      out.diversity = {data.qid.column(3), 2};
+      out.data.qid = data.qid.Prefix(3);
+      out.data.table = std::move(data.table);
+      break;
+    }
+    case 1: {
+      out.name = "adults-5000-qid3-salary";
+      out.data = AdultsPrefix(5000, 3);
+      out.config.k = 25;
+      out.diversity = {
+          static_cast<size_t>(out.data.table.schema().FindColumn(
+              "Salary-class")),
+          2};
+      break;
+    }
+    default: {
+      // Five 12-bit QID fields plus a 12-bit S: the all-zero root's keys
+      // need 72 bits, so its node ∪ {S} set takes the vector-key path. At
+      // 4,000 rows over 243 QID groups the root passes, so every shape
+      // must get the wide check right.
+      RandomDataset data = testing_util::MakeWideFallbackDataset(4000);
+      out.name = "wide-fallback-keys";
+      out.diversity = {data.qid.column(5), 2};
+      out.data.qid = data.qid.Prefix(5);
+      out.data.table = std::move(data.table);
+      break;
+    }
+  }
+  return out;
+}
+
+class DiversityMatrixTest : public ::testing::TestWithParam<int> {};
+
+// threads {1, 2, 4, 8} x scan batching on/off x {ungoverned, governed,
+// resumed}, each against the std::map (k, ℓ) oracle and the one-worker
+// run's counters.
+TEST_P(DiversityMatrixTest, EveryShapeMatchesOracleAndOneWorkerCounters) {
+  const DiversityMatrixDataset ds = MakeDiversityDataset(GetParam());
+  const Table& table = ds.data.table;
+  const QuasiIdentifier& qid = ds.data.qid;
+  const std::set<std::string> oracle = testing_util::DiversityOracle(
+      table, qid, ds.config, ds.diversity.sensitive_column,
+      ds.diversity.l);
+  EXPECT_FALSE(oracle.empty());
+
+  struct Reference {
+    IncognitoResult result;
+    std::string checkpoint;
+    size_t kept_records = 0;
+  };
+  std::map<bool, Reference> references;
+  for (bool batch : {true, false}) {
+    Reference ref;
+    ref.checkpoint = TempPath(StringPrintf("diversity_%s_%d.ckpt",
+                                           ds.name.c_str(), batch ? 1 : 0));
+    std::remove(ref.checkpoint.c_str());
+    CheckpointPolicy writer;
+    writer.path = ref.checkpoint;
+    IncognitoOptions options;
+    options.batch_scans = batch;
+    PartialResult<IncognitoResult> run =
+        RunIncognito(table, qid, ds.config, ds.diversity, options,
+                     RunContext().WithCheckpoint(&writer));
+    ASSERT_TRUE(run.complete()) << run.status().ToString();
+    Result<CheckpointSnapshot> written = LoadCheckpoint(ref.checkpoint);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    ref.kept_records = written->records.size() / 2;
+    TruncateCheckpoint(ref.checkpoint, ref.kept_records);
+    ref.result = std::move(run).value();
+    references[batch] = std::move(ref);
+  }
+
+  for (const Shape& shape : AllShapes()) {
+    if (shape.variant != IncognitoVariant::kBasic) continue;
+    SCOPED_TRACE(ds.name + " " + shape.Name());
+    const Reference& ref = references.at(shape.batch_scans);
+    IncognitoOptions options;
+    options.batch_scans = shape.batch_scans;
+    ExecutionGovernor governor;
+    CheckpointPolicy resume;
+    resume.path = ref.checkpoint;
+    resume.resume = ResumeMode::kRequire;
+    resume.interval_ms = int64_t{1} << 40;
+    RunContext ctx = RunContext().WithWorkers(shape.threads);
+    if (shape.mode == Mode::kGoverned) {
+      ctx.WithGovernor(governor)
+          .WithDeadline(10 * 60 * 1000)
+          .WithMemoryBudget(int64_t{1} << 33);
+    } else if (shape.mode == Mode::kResumed) {
+      ctx.WithCheckpoint(&resume);
+    }
+
+    PartialResult<IncognitoResult> run =
+        RunIncognito(table, qid, ds.config, ds.diversity, options, ctx);
+    if (shape.mode == Mode::kResumed) {
+      TruncateCheckpoint(ref.checkpoint, ref.kept_records);
+    }
+    ASSERT_TRUE(run.complete()) << run.status().ToString();
+    EXPECT_EQ(NodeSet(run->anonymous_nodes), oracle);
+    ExpectSameSearch(ref.result, run.value());
+    EXPECT_EQ(run->stats.parallel_workers, shape.threads);
+    if (shape.mode == Mode::kGoverned) {
+      EXPECT_EQ(governor.memory().used(), 0);
+      EXPECT_GT(run->stats.governor_checks, 0);
+    }
+    if (shape.mode == Mode::kResumed) {
+      EXPECT_EQ(run->stats.restored_subsets,
+                static_cast<int64_t>(ref.kept_records));
+    }
+  }
+  for (const auto& [batch, ref] : references) {
+    std::remove(ref.checkpoint.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, DiversityMatrixTest,
+                         ::testing::Range(0, 3));
 
 // ---------------------------------------------------------------------------
 // Wide quasi-identifiers

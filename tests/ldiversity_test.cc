@@ -2,11 +2,13 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/incognito.h"
 #include "core/ldiversity.h"
 #include "data/patients.h"
-#include "freq/sensitive_frequency_set.h"
+#include "freq/frequency_set.h"
 #include "lattice/lattice.h"
 #include "test_util.h"
 
@@ -32,61 +34,102 @@ class LDiversityTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// SensitiveFrequencySet
+// The node ∪ {S} frequency set and its grouped (k, ℓ) check
 // ---------------------------------------------------------------------------
+
+/// (count, distinct) per QID group, in canonical order.
+std::vector<std::pair<int64_t, int64_t>> QidGroups(const FrequencySet& fs) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  fs.ForEachQidGroup([&](const int32_t* codes, int64_t count,
+                         int64_t distinct) {
+    (void)codes;
+    out.emplace_back(count, distinct);
+  });
+  return out;
+}
 
 TEST_F(LDiversityTest, ComputeTracksDistinctSensitive) {
   // Group by <S1, Z0>: three groups of 2 tuples; all diseases distinct, so
   // every group has 2 distinct sensitive values.
-  SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
+  FrequencySet fs = ComputeSensitiveSet(
       table_, qid_, SubsetNode({1, 2}, {1, 0}), disease_col_);
-  EXPECT_EQ(fs.NumGroups(), 3u);
+  EXPECT_EQ(QidGroups(fs).size(), 3u);
   EXPECT_EQ(fs.TotalCount(), 6);
-  fs.ForEachGroup([](const int32_t* codes, int64_t count, int64_t distinct) {
-    (void)codes;
+  for (const auto& [count, distinct] : QidGroups(fs)) {
     EXPECT_EQ(count, 2);
     EXPECT_EQ(distinct, 2);
-  });
-  EXPECT_TRUE(fs.IsLDiverse(2));
-  EXPECT_FALSE(fs.IsLDiverse(3));
-  EXPECT_TRUE(fs.IsKAnonymousAndLDiverse(2, 2));
-  EXPECT_FALSE(fs.IsKAnonymousAndLDiverse(3, 2));
+  }
+  EXPECT_EQ(fs.TuplesViolating(1, 2), 0);  // 2-diverse
+  EXPECT_GT(fs.TuplesViolating(1, 3), 0);  // not 3-diverse
+  EXPECT_EQ(fs.TuplesViolating(2, 2), 0);
+  EXPECT_GT(fs.TuplesViolating(3, 2), 0);
 }
 
 TEST_F(LDiversityTest, RollupUnionsSensitiveSets) {
-  SensitiveFrequencySet base = SensitiveFrequencySet::Compute(
-      table_, qid_, SubsetNode({1, 2}, {0, 0}), disease_col_);
-  SensitiveFrequencySet rolled =
-      base.RollupTo(SubsetNode({1, 2}, {1, 2}), qid_);
+  const QuasiIdentifier keyed = qid_.WithSensitive(table_, disease_col_);
+  FrequencySet base = ComputeSensitiveSet(table_, qid_,
+                                          SubsetNode({1, 2}, {0, 0}),
+                                          disease_col_);
+  // S stays at level 0 while Sex and Zip generalize.
+  FrequencySet rolled = base.RollupTo(SubsetNode({1, 2, 3}, {1, 2, 0}), keyed);
   // Fully generalized over Sex and Zip: one group, 6 tuples, 6 diseases.
-  EXPECT_EQ(rolled.NumGroups(), 1u);
-  rolled.ForEachGroup(
-      [](const int32_t* codes, int64_t count, int64_t distinct) {
-        (void)codes;
-        EXPECT_EQ(count, 6);
-        EXPECT_EQ(distinct, 6);
-      });
-  EXPECT_TRUE(rolled.IsLDiverse(6));
+  ASSERT_EQ(QidGroups(rolled).size(), 1u);
+  EXPECT_EQ(QidGroups(rolled)[0], std::make_pair(int64_t{6}, int64_t{6}));
+  EXPECT_EQ(rolled.TuplesViolating(1, 6), 0);
 }
 
 TEST_F(LDiversityTest, RollupMatchesDirectComputation) {
-  SensitiveFrequencySet base = SensitiveFrequencySet::Compute(
+  const QuasiIdentifier keyed = qid_.WithSensitive(table_, disease_col_);
+  FrequencySet base = ComputeSensitiveSet(
       table_, qid_, SubsetNode({0, 1, 2}, {0, 0, 0}), disease_col_);
   for (int32_t b = 0; b <= 1; ++b) {
     for (int32_t s = 0; s <= 1; ++s) {
       for (int32_t z = 0; z <= 2; ++z) {
         SubsetNode target({0, 1, 2}, {b, s, z});
-        SensitiveFrequencySet rolled = base.RollupTo(target, qid_);
-        SensitiveFrequencySet direct = SensitiveFrequencySet::Compute(
-            table_, qid_, target, disease_col_);
-        EXPECT_EQ(rolled.NumGroups(), direct.NumGroups());
+        FrequencySet rolled =
+            base.RollupTo(SubsetNode({0, 1, 2, 3}, {b, s, z, 0}), keyed);
+        FrequencySet direct =
+            ComputeSensitiveSet(table_, qid_, target, disease_col_);
+        EXPECT_EQ(QidGroups(rolled), QidGroups(direct)) << target.ToString();
         for (int64_t k = 1; k <= 3; ++k) {
           for (int64_t l = 1; l <= 3; ++l) {
             EXPECT_EQ(rolled.TuplesViolating(k, l),
                       direct.TuplesViolating(k, l))
                 << target.ToString() << " k=" << k << " l=" << l;
+            EXPECT_EQ(direct.TuplesViolating(k, l),
+                      testing_util::DiversityViolations(
+                          table_, qid_, target, disease_col_, k, l))
+                << target.ToString() << " k=" << k << " l=" << l;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(LDiversityWideTest, VectorKeysMatchOracle) {
+  // Five 12-bit QID fields plus a 12-bit S need 72 key bits, beyond the
+  // packed keys: node ∪ {S} at the all-zero node takes the vector-key path.
+  testing_util::RandomDataset data =
+      testing_util::MakeWideFallbackDataset(120);
+  const QuasiIdentifier qid = data.qid.Prefix(5);
+  const size_t sensitive = data.qid.column(5);
+  GeneralizationLattice lattice(qid.MaxLevels());
+  for (const LevelVector& v : lattice.AllNodesByHeight()) {
+    SubsetNode node = SubsetNode::Full(v);
+    FrequencySet fs = ComputeSensitiveSet(data.table, qid, node, sensitive);
+    int64_t groups = 0;
+    fs.ForEachQidGroup([&](const int32_t*, int64_t, int64_t) { ++groups; });
+    EXPECT_EQ(groups, static_cast<int64_t>(testing_util::SensitiveGroups(
+                                               data.table, qid, node,
+                                               sensitive)
+                                               .size()));
+    for (int64_t k = 1; k <= 3; ++k) {
+      for (int64_t l = 1; l <= 3; ++l) {
+        EXPECT_EQ(fs.TuplesViolating(k, l),
+                  testing_util::DiversityViolations(data.table, qid, node,
+                                                    sensitive, k, l))
+            << node.ToString() << " k=" << k << " l=" << l;
       }
     }
   }
@@ -96,11 +139,26 @@ TEST_F(LDiversityTest, SuppressionBudget) {
   // <S0, Z0>: singleton groups have 1 distinct disease each (2 violating
   // tuples at l=2 among groups of size >= 2? counts: 1,1,2,2; the two
   // 2-groups have 2 distinct diseases).
-  SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
+  FrequencySet fs = ComputeSensitiveSet(
       table_, qid_, SubsetNode({1, 2}, {0, 0}), disease_col_);
   EXPECT_EQ(fs.TuplesViolating(1, 2), 2);  // the two singletons
-  EXPECT_FALSE(fs.IsLDiverse(2));
-  EXPECT_TRUE(fs.IsLDiverse(2, /*max_suppressed=*/2));
+  // The search admits <B1, S0, Z0> (the same groups) within a budget of
+  // two suppressed tuples, and not within one.
+  LDiversityConfig config;
+  config.k = 1;
+  config.l = 2;
+  config.sensitive_attribute = "Disease";
+  const std::string node = SubsetNode::Full({1, 0, 0}).ToString();
+  config.max_suppressed = 2;
+  PartialResult<LDiversityResult> within =
+      RunLDiversityIncognito(table_, qid_, config);
+  ASSERT_TRUE(within.ok());
+  EXPECT_EQ(NodeSet(within->diverse_nodes).count(node), 1u);
+  config.max_suppressed = 1;
+  PartialResult<LDiversityResult> over =
+      RunLDiversityIncognito(table_, qid_, config);
+  ASSERT_TRUE(over.ok());
+  EXPECT_EQ(NodeSet(over->diverse_nodes).count(node), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -115,16 +173,10 @@ TEST_F(LDiversityTest, MatchesBruteForce) {
   PartialResult<LDiversityResult> r = RunLDiversityIncognito(table_, qid_, config);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  GeneralizationLattice lattice(qid_.MaxLevels());
-  std::set<std::string> oracle;
-  for (const LevelVector& v : lattice.AllNodesByHeight()) {
-    SubsetNode node = SubsetNode::Full(v);
-    SensitiveFrequencySet fs =
-        SensitiveFrequencySet::Compute(table_, qid_, node, disease_col_);
-    if (fs.IsKAnonymousAndLDiverse(config.k, config.l)) {
-      oracle.insert(node.ToString());
-    }
-  }
+  AnonymizationConfig kconfig;
+  kconfig.k = config.k;
+  const std::set<std::string> oracle = testing_util::DiversityOracle(
+      table_, qid_, kconfig, disease_col_, config.l);
   EXPECT_EQ(NodeSet(r->diverse_nodes), oracle);
   EXPECT_FALSE(oracle.empty());
 }
@@ -208,9 +260,10 @@ TEST_F(LDiversityTest, DiverseRecoderPublishesValidView) {
     ASSERT_TRUE(view.ok()) << node.ToString();
     EXPECT_EQ(view->suppressed_tuples, 0);  // search used zero budget
     // Every class of the released view satisfies both bounds.
-    SensitiveFrequencySet check = SensitiveFrequencySet::Compute(
-        table_, qid_, node, disease_col_);
-    EXPECT_TRUE(check.IsKAnonymousAndLDiverse(config.k, config.l));
+    EXPECT_EQ(testing_util::DiversityViolations(table_, qid_, node,
+                                                disease_col_, config.k,
+                                                config.l),
+              0);
   }
 }
 
@@ -283,13 +336,15 @@ TEST(LDiversityRandomTest, MonotoneUnderGeneralization) {
     GeneralizationLattice lattice(qid2.MaxLevels());
     for (const LevelVector& v : lattice.AllNodesByHeight()) {
       SubsetNode node = SubsetNode::Full(v);
-      SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
-          ds.table, qid2, node, sensitive_col);
-      if (!fs.IsKAnonymousAndLDiverse(2, 2)) continue;
+      if (testing_util::DiversityViolations(ds.table, qid2, node,
+                                            sensitive_col, 2, 2) > 0) {
+        continue;
+      }
       for (const LevelVector& g : lattice.DirectGeneralizations(v)) {
-        SensitiveFrequencySet gfs = SensitiveFrequencySet::Compute(
-            ds.table, qid2, SubsetNode::Full(g), sensitive_col);
-        EXPECT_TRUE(gfs.IsKAnonymousAndLDiverse(2, 2));
+        EXPECT_EQ(testing_util::DiversityViolations(
+                      ds.table, qid2, SubsetNode::Full(g), sensitive_col, 2,
+                      2),
+                  0);
       }
     }
   }

@@ -9,7 +9,6 @@
 #include "data/patients.h"
 #include "freq/frequency_set.h"
 #include "freq/key_codec.h"
-#include "freq/sensitive_frequency_set.h"
 #include "metrics/metrics.h"
 #include "relation/csv.h"
 #include "test_util.h"
@@ -248,18 +247,20 @@ Result<DiverseRecodeResult> ReferenceApplyDiverse(
     const LDiversityConfig& config) {
   size_t sensitive =
       table.schema().ColumnIndex(config.sensitive_attribute).value();
-  SensitiveFrequencySet freq =
-      SensitiveFrequencySet::Compute(table, qid, node, sensitive);
-  if (freq.TuplesViolating(config.k, config.l) > config.max_suppressed) {
+  int64_t violating_tuples = 0;
+  std::set<std::vector<int32_t>> violating;
+  for (const auto& [codes, group] :
+       testing_util::SensitiveGroups(table, qid, node, sensitive)) {
+    if (group.count < config.k ||
+        static_cast<int64_t>(group.sensitive.size()) < config.l) {
+      violating_tuples += group.count;
+      violating.insert(codes);
+    }
+  }
+  if (violating_tuples > config.max_suppressed) {
     return Status::FailedPrecondition("over budget");
   }
   const size_t n = qid.size();
-  std::set<std::vector<int32_t>> violating;
-  freq.ForEachGroup([&](const int32_t* codes, int64_t count, int64_t distinct) {
-    if (count < config.k || distinct < config.l) {
-      violating.insert(std::vector<int32_t>(codes, codes + n));
-    }
-  });
   DiverseRecodeResult result;
   result.view = ReferenceViewSkeleton(table, qid, node);
   std::vector<int32_t> gen(n);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "relation/dictionary.h"
 #include "relation/schema.h"
 #include "relation/table.h"
@@ -54,6 +58,23 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{7}).Hash(), Value(7.0).Hash());
   EXPECT_EQ(Value("s").Hash(), Value(std::string("s")).Hash());
   EXPECT_EQ(Value().Hash(), Value().Hash());
+}
+
+TEST(ValueTest, EveryNaNIsOneValueAfterAllNumbers) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_payload = -std::nan("7");  // sign and payload differ
+  EXPECT_EQ(Value(nan), Value(nan));
+  EXPECT_EQ(Value(nan), Value(other_payload));
+  EXPECT_EQ(Value(nan).Hash(), Value(other_payload).Hash());
+  EXPECT_FALSE(Value(nan) == Value(1.0));
+  EXPECT_FALSE(Value(nan) == Value(int64_t{0}));
+  // Ordered after every number, before every string, never below itself.
+  EXPECT_LT(Value(1e300), Value(nan));
+  EXPECT_LT(Value(std::numeric_limits<double>::infinity()), Value(nan));
+  EXPECT_LT(Value(int64_t{5}), Value(nan));
+  EXPECT_LT(Value(nan), Value("a"));
+  EXPECT_FALSE(Value(nan) < Value(nan));
+  EXPECT_FALSE(Value(nan) < Value(2.0));
 }
 
 // ---------------------------------------------------------------------------
@@ -120,6 +141,19 @@ TEST(DictionaryTest, SortedCodesOrdersValues) {
   EXPECT_EQ(d.value(sorted[2]).int64(), 30);
 }
 
+TEST(DictionaryTest, SortedCodesOrdersNaNLast) {
+  Dictionary d;
+  d.GetOrInsert(Value(1.0));
+  d.GetOrInsert(Value(std::nan("")));
+  d.GetOrInsert(Value(-2.0));
+  std::vector<int32_t> sorted = d.SortedCodes();
+  EXPECT_EQ(sorted, (std::vector<int32_t>{2, 0, 1}));
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_TRUE(d.value(sorted[i - 1]) < d.value(sorted[i]));
+    EXPECT_FALSE(d.value(sorted[i]) < d.value(sorted[i - 1]));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Table
 // ---------------------------------------------------------------------------
@@ -158,6 +192,14 @@ TEST(TableTest, AppendRowTypeMismatch) {
   // Int accepted by double column.
   Table d{Schema({{"x", DataType::kDouble}})};
   EXPECT_TRUE(d.AppendRow({Value(int64_t{3})}).ok());
+}
+
+TEST(TableTest, AppendRowOfNaNTwiceKeepsOneCode) {
+  Table t{Schema({{"d", DataType::kDouble}})};
+  ASSERT_TRUE(t.AppendRow({Value(std::nan(""))}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(std::nan(""))}).ok());
+  EXPECT_EQ(t.dictionary(0).size(), 1u);
+  EXPECT_EQ(t.ColumnCodes(0), (std::vector<int32_t>{0, 0}));
 }
 
 TEST(TableTest, AppendRowCodes) {

@@ -2,6 +2,7 @@
 #define INCOGNITO_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -180,6 +181,75 @@ inline std::set<std::string> Oracle(const Table& table,
   for (const LevelVector& v : lattice.AllNodesByHeight()) {
     SubsetNode node = SubsetNode::Full(v);
     if (IsKAnonymous(table, qid, node, config)) out.insert(node.ToString());
+  }
+  return out;
+}
+
+/// One QID group of the (k, ℓ) oracle: its tuple count and the distinct
+/// codes of the sensitive column among its tuples.
+struct SensitiveGroup {
+  int64_t count = 0;
+  std::set<int32_t> sensitive;
+};
+
+/// A std::map GROUP BY of `node`'s generalized QID codes, collecting the
+/// distinct sensitive codes per group. It reads only the table's codes and
+/// the hierarchies' base-to-level maps, so it shares nothing with
+/// src/freq.
+inline std::map<std::vector<int32_t>, SensitiveGroup> SensitiveGroups(
+    const Table& table, const QuasiIdentifier& qid, const SubsetNode& node,
+    size_t sensitive_column) {
+  std::map<std::vector<int32_t>, SensitiveGroup> groups;
+  std::vector<int32_t> key(node.size());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t i = 0; i < node.size(); ++i) {
+      const size_t d = static_cast<size_t>(node.dims[i]);
+      key[i] = qid.hierarchy(d).BaseToLevelMap(
+          static_cast<size_t>(node.levels[i]))[static_cast<size_t>(
+          table.GetCode(r, qid.column(d)))];
+    }
+    SensitiveGroup& group = groups[key];
+    ++group.count;
+    group.sensitive.insert(table.GetCode(r, sensitive_column));
+  }
+  return groups;
+}
+
+/// Tuples in groups of `node` with fewer than k tuples or fewer than l
+/// distinct sensitive values.
+inline int64_t DiversityViolations(const Table& table,
+                                   const QuasiIdentifier& qid,
+                                   const SubsetNode& node,
+                                   size_t sensitive_column, int64_t k,
+                                   int64_t l) {
+  int64_t violating = 0;
+  for (const auto& [key, group] :
+       SensitiveGroups(table, qid, node, sensitive_column)) {
+    (void)key;
+    if (group.count < k ||
+        static_cast<int64_t>(group.sensitive.size()) < l) {
+      violating += group.count;
+    }
+  }
+  return violating;
+}
+
+/// The (k, ℓ) brute-force referee: every full-QID generalization with at
+/// most config.max_suppressed tuples in groups violating distinct
+/// (k, ℓ)-diversity, each grouped on its own.
+inline std::set<std::string> DiversityOracle(const Table& table,
+                                             const QuasiIdentifier& qid,
+                                             const AnonymizationConfig& config,
+                                             size_t sensitive_column,
+                                             int64_t l) {
+  GeneralizationLattice lattice(qid.MaxLevels());
+  std::set<std::string> out;
+  for (const LevelVector& v : lattice.AllNodesByHeight()) {
+    SubsetNode node = SubsetNode::Full(v);
+    if (DiversityViolations(table, qid, node, sensitive_column, config.k,
+                            l) <= config.max_suppressed) {
+      out.insert(node.ToString());
+    }
   }
   return out;
 }

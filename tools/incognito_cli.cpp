@@ -118,7 +118,6 @@
 #include "core/minimality.h"
 #include "core/recoder.h"
 #include "core/run_context.h"
-#include "freq/sensitive_frequency_set.h"
 #include "hierarchy/builders.h"
 #include "hierarchy/csv_hierarchy.h"
 #include "hierarchy/validation.h"
@@ -663,10 +662,9 @@ int CmdCheck(const std::map<std::string, std::string>& args,
   if (!sensitive.empty() && l > 0) {
     Result<size_t> col = problem->table.schema().ColumnIndex(sensitive);
     if (!col.ok()) return Fail(col.status());
-    SensitiveFrequencySet fs = SensitiveFrequencySet::Compute(
-        problem->table, problem->qid, node.value(), col.value());
-    bool diverse = fs.IsKAnonymousAndLDiverse(config.k, l,
-                                              config.max_suppressed);
+    FrequencySet fs = ComputeSensitiveSet(problem->table, problem->qid,
+                                          node.value(), col.value());
+    bool diverse = fs.TuplesViolating(config.k, l) <= config.max_suppressed;
     printf("%s at %s: distinct %lld-diverse (sensitive=%s) = %s\n",
            Get(args, "input").c_str(),
            node->ToString(&problem->qid).c_str(), static_cast<long long>(l),
