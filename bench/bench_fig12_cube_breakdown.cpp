@@ -54,15 +54,17 @@ void Sweep(const char* name, const SyntheticDataset& dataset, size_t max_qid,
   }
 }
 
-// Times the DAG-scheduled parallel cube build against the serial build on
-// the largest Adults QID and records the per-thread speedup under the
-// report's "derived" object (docs/PARALLELISM.md "Intra-node parallelism").
+// Times the cube build across worker pools of growing size against the
+// build without a pool on the largest Adults QID and records the
+// per-thread speedup under the report's "derived" object
+// (docs/PARALLELISM.md "Intra-node parallelism").
 void ThreadSweep(const SyntheticDataset& dataset, size_t qid_size,
                  int max_threads, BenchReport* report) {
   QuasiIdentifier qid = dataset.qid.Prefix(qid_size);
   Stopwatch serial_timer;
   ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(dataset.table, qid, &serial_info);
+  ZeroGenCube serial =
+      ZeroGenCube::Build(dataset.table, qid, nullptr, &serial_info);
   double serial_seconds = serial_timer.ElapsedSeconds();
   printf("\n--- parallel cube build, adults qid=%zu ---\n", qid_size);
   printf("%8s %12s %9s\n", "threads", "build", "speedup");
@@ -71,8 +73,7 @@ void ThreadSweep(const SyntheticDataset& dataset, size_t qid_size,
     WorkerPool pool(threads);
     Stopwatch timer;
     ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::BuildParallel(dataset.table, qid, pool, &info);
+    ZeroGenCube cube = ZeroGenCube::Build(dataset.table, qid, &pool, &info);
     double seconds = timer.ElapsedSeconds();
     if (cube.num_subsets() != serial.num_subsets() ||
         info.total_groups != serial_info.total_groups) {

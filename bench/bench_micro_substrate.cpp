@@ -131,16 +131,17 @@ void BM_CubeBuild(benchmark::State& state) {
 BENCHMARK(BM_CubeBuild)->Arg(3)->Arg(5)->Arg(7);
 
 // ---------------------------------------------------------------------------
-// DAG-scheduled parallel cube build at a fixed 7-attribute QID (Arg =
-// threads). Projections at the same popcount run concurrently; compare
-// against BM_CubeBuild/7 for the scheduling overhead and scaling.
+// The same DAG-scheduled cube build across a worker pool at a fixed
+// 7-attribute QID (Arg = threads). Projections at the same popcount run
+// concurrently; compare against BM_CubeBuild/7 (no pool) for the
+// scheduling overhead and scaling.
 // ---------------------------------------------------------------------------
 void BM_CubeBuildParallel(benchmark::State& state) {
   const SyntheticDataset& ds = SharedAdults();
   QuasiIdentifier qid = ds.qid.Prefix(7);
   WorkerPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    ZeroGenCube cube = ZeroGenCube::BuildParallel(ds.table, qid, pool);
+    ZeroGenCube cube = ZeroGenCube::Build(ds.table, qid, &pool);
     benchmark::DoNotOptimize(cube.num_subsets());
   }
 }
@@ -160,14 +161,35 @@ void BM_LatticeEnumeration(benchmark::State& state) {
 BENCHMARK(BM_LatticeEnumeration)->Arg(5)->Arg(9);
 
 void BM_CandidateGeneration(benchmark::State& state) {
-  // Two GraphGeneration steps from complete single-attribute chains.
+  // Two GraphGeneration steps from complete single-attribute chains: every
+  // 2- and 3-attribute subset graph of the QID prefix, each built from its
+  // immediate sub-subsets as the subset-DAG search builds it.
   const SyntheticDataset& ds = SharedAdults();
   QuasiIdentifier qid = ds.qid.Prefix(static_cast<size_t>(state.range(0)));
-  CandidateGraph c1 = MakeSingleAttributeGraph(qid);
+  const size_t n = qid.size();
+  std::vector<CandidateGraph> chains;
+  for (size_t d = 0; d < n; ++d) {
+    chains.push_back(MakeSingleDimensionChain(qid, d));
+  }
   for (auto _ : state) {
-    CandidateGraph c2 = GenerateNextGraph(c1);
-    CandidateGraph c3 = GenerateNextGraph(c2);
-    benchmark::DoNotOptimize(c3.num_nodes());
+    // c2[a][b] (a < b) is the {a, b} graph; parents[j] drops dimension j.
+    std::vector<std::vector<CandidateGraph>> c2(n,
+                                                std::vector<CandidateGraph>(n));
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = a + 1; b < n; ++b) {
+        c2[a][b] = GenerateSubsetGraph({&chains[b], &chains[a]});
+      }
+    }
+    size_t nodes = 0;
+    for (size_t a = 0; a < n; ++a) {
+      for (size_t b = a + 1; b < n; ++b) {
+        for (size_t c = b + 1; c < n; ++c) {
+          nodes += GenerateSubsetGraph({&c2[b][c], &c2[a][c], &c2[a][b]})
+                       .num_nodes();
+        }
+      }
+    }
+    benchmark::DoNotOptimize(nodes);
   }
 }
 BENCHMARK(BM_CandidateGeneration)->Arg(4)->Arg(6);

@@ -79,48 +79,38 @@ std::string AlgorithmStats::ToString() const {
 
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
-                  AlgorithmStats* stats, int num_threads) {
-  INCOGNITO_SPAN("checker.is_k_anonymous");
-  INCOGNITO_COUNT("checker.direct_checks");
-  Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, nullptr);
-  bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
-  if (stats != nullptr) {
-    ++stats->nodes_checked;
-    ++stats->table_scans;
-    stats->freq_groups_built += static_cast<int64_t>(fs.NumGroups());
-    stats->total_seconds += timer.ElapsedSeconds();
-  }
-  return anonymous;
+                  AlgorithmStats* stats) {
+  // An ungoverned context never trips, so the Result always holds a value.
+  return IsKAnonymous(table, qid, node, config, RunContext(), stats).value();
 }
 
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,
                           const RunContext& ctx, AlgorithmStats* stats) {
-  int num_threads = ctx.num_threads > 0 ? ctx.num_threads : 1;
-  if (ctx.governor == nullptr) {
-    return IsKAnonymous(table, qid, node, config, stats, num_threads);
-  }
-  ExecutionGovernor& governor = *ctx.governor;
-  INCOGNITO_RETURN_IF_ERROR(governor.Check());
+  INCOGNITO_SPAN("checker.is_k_anonymous");
+  INCOGNITO_COUNT("checker.direct_checks");
   INCOGNITO_HIST_TIMER("checker.check_seconds");
+  ExecutionGovernor* governor = ctx.governor;
+  if (governor != nullptr) INCOGNITO_RETURN_IF_ERROR(governor->Check());
   Stopwatch timer;
-  FrequencySet fs = CheckScan(table, qid, node, num_threads, &governor);
-  Status charge = governor.ChargeMemory(
-      static_cast<int64_t>(fs.MemoryBytes()));
-  if (!charge.ok()) {
-    if (stats != nullptr) governor.ExportTrips(stats);
-    return charge;
+  FrequencySet fs = CheckScan(table, qid, node, ctx.num_threads, governor);
+  const int64_t bytes = static_cast<int64_t>(fs.MemoryBytes());
+  if (governor != nullptr) {
+    Status charge = governor->ChargeMemory(bytes);
+    if (!charge.ok()) {
+      if (stats != nullptr) governor->ExportTrips(stats);
+      return charge;
+    }
   }
   bool anonymous = fs.IsKAnonymous(config.k, config.max_suppressed);
-  governor.ReleaseMemory(static_cast<int64_t>(fs.MemoryBytes()));
+  if (governor != nullptr) governor->ReleaseMemory(bytes);
   if (stats != nullptr) {
     ++stats->nodes_checked;
     ++stats->table_scans;
     stats->freq_groups_built += static_cast<int64_t>(fs.NumGroups());
     stats->total_seconds += timer.ElapsedSeconds();
-    governor.ExportTrips(stats);
+    if (governor != nullptr) governor->ExportTrips(stats);
   }
   return anonymous;
 }

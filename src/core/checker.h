@@ -90,18 +90,19 @@ struct AlgorithmStats {
 /// the paper's SELECT COUNT(*) ... GROUP BY query. Convenience entry point
 /// and the oracle the property tests compare the algorithms against.
 /// When `stats` is non-null, the check's costs are accumulated into it.
-/// `num_threads` > 1 fans the scan out across a worker pool
-/// (FrequencySet::ComputeBatch) with a bit-identical verdict and stats.
+/// Always single-threaded and ungoverned; the RunContext overload below
+/// takes the thread count and the budgets.
 bool IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                   const SubsetNode& node, const AnonymizationConfig& config,
-                  AlgorithmStats* stats = nullptr, int num_threads = 1);
+                  AlgorithmStats* stats = nullptr);
 
 /// RunContext variant (docs/API.md): ctx.governor (when non-null) is
 /// polled before the scan and charged the frequency set's heap footprint
 /// (released after the check); kDeadlineExceeded / kResourceExhausted /
 /// kCancelled replace the answer when a budget trips. An ungoverned
 /// context never trips. ctx.num_threads > 1 runs the scan across a worker
-/// pool; every scan charges its transient state to per-worker shards.
+/// pool with the same verdict and stats; a governed scan charges its
+/// transient state to per-worker shards.
 Result<bool> IsKAnonymous(const Table& table, const QuasiIdentifier& qid,
                           const SubsetNode& node,
                           const AnonymizationConfig& config,

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -572,7 +573,8 @@ Result<CandidateGraph> SearchGraph(GraphWalk& walk,
 }
 
 Status ValidateSearch(const QuasiIdentifier& qid,
-                      const AnonymizationConfig& config) {
+                      const AnonymizationConfig& config,
+                      const IncognitoOptions& options) {
   if (config.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
@@ -585,6 +587,15 @@ Status ValidateSearch(const QuasiIdentifier& qid,
   if (qid.size() > 64) {
     return Status::InvalidArgument(
         "quasi-identifier has more than 64 attributes");
+  }
+  // The cube materializes 2^n - 1 frequency sets; refuse it before any
+  // scan rather than let it exhaust memory.
+  if (options.variant == IncognitoVariant::kCube &&
+      qid.size() > ZeroGenCube::kMaxAttributes) {
+    return Status::InvalidArgument(
+        "Cube Incognito supports at most " +
+        std::to_string(ZeroGenCube::kMaxAttributes) +
+        " quasi-identifier attributes");
   }
   return Status::OK();
 }
@@ -705,7 +716,7 @@ PartialResult<IncognitoResult> Search(const Table& table,
   if (options.variant == IncognitoVariant::kCube) {
     Stopwatch cube_timer;
     ZeroGenCube::BuildInfo info;
-    cube = ZeroGenCube::BuildParallel(table, qid, pool, &info, governor);
+    cube = ZeroGenCube::Build(table, qid, &pool, &info, governor);
     cube_ptr = &cube;
     result.stats.cube_build_seconds = cube_timer.ElapsedSeconds();
     result.stats.table_scans += info.table_scans;
@@ -1026,7 +1037,7 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const AnonymizationConfig& config,
                                             const IncognitoOptions& options,
                                             const RunContext& ctx) {
-  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config));
+  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config, options));
   return Search(table, qid, config, nullptr, options, ctx);
 }
 
@@ -1036,7 +1047,7 @@ PartialResult<IncognitoResult> RunIncognito(const Table& table,
                                             const DiversityPredicate& diversity,
                                             const IncognitoOptions& options,
                                             const RunContext& ctx) {
-  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config));
+  INCOGNITO_RETURN_IF_ERROR(ValidateSearch(qid, config, options));
   if (diversity.l < 1) return Status::InvalidArgument("l must be >= 1");
   if (diversity.sensitive_column >= table.num_columns()) {
     return Status::InvalidArgument("sensitive column out of range");

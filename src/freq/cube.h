@@ -1,6 +1,7 @@
 #ifndef INCOGNITO_FREQ_CUBE_H_
 #define INCOGNITO_FREQ_CUBE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -33,38 +34,34 @@ class ZeroGenCube {
 
   ZeroGenCube() = default;
 
-  /// Builds the cube. Requires 1 <= qid.size() <= 24. When `governor` is
-  /// non-null, every materialized frequency set is charged against its
-  /// memory budget; a refused charge (or a tripped deadline/cancellation)
-  /// stops the build early — the caller detects this via
-  /// governor->Tripped() and must not use the incomplete cube.
-  static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
-                           BuildInfo* info = nullptr,
-                           ExecutionGovernor* governor = nullptr);
+  /// The widest QID a cube is built for: the cube holds 2^n - 1 frequency
+  /// sets, keyed by a 32-bit attribute mask.
+  static constexpr size_t kMaxAttributes = 24;
 
-  /// Parallel twin of Build (docs/PARALLELISM.md "Intra-node
-  /// parallelism"): the root scan runs as a pool-wide FrequencySet::
-  /// ComputeBatch, and the per-mask projections — which form a DAG
-  /// (every mask depends on its one-attribute supersets) — are scheduled
-  /// by decreasing popcount with dependency counting, so independent
-  /// projections at the same popcount run concurrently across the pool.
-  /// A mask is only scheduled once ALL of its parents are materialized,
-  /// which keeps the best-parent choice (fewest groups, lowest parent
-  /// mask) deterministic; a complete build is bit-identical to Build,
-  /// BuildInfo totals included.
+  /// Builds the cube (docs/PARALLELISM.md "Intra-node parallelism").
+  /// Requires 1 <= qid.size() <= kMaxAttributes. The root scan runs as
+  /// one FrequencySet::ComputeBatch across `pool`, and the per-mask
+  /// projections — which form a DAG (every mask depends on its
+  /// one-attribute supersets) — are scheduled by decreasing popcount with
+  /// dependency counting, so independent projections at the same popcount
+  /// run concurrently across the pool. A null or one-worker pool runs the
+  /// same DAG inline on the calling thread. A mask is only scheduled once
+  /// ALL of its parents are materialized, which keeps the best-parent
+  /// choice (fewest groups, lowest parent mask) deterministic: the cube
+  /// and its BuildInfo totals are identical at every pool size.
   ///
   /// Governed builds charge each projection to the running worker's
   /// private GovernorShard ("cube.project" fault site per projection;
-  /// "cube.build" at the main-thread root charge, as in Build). The
-  /// transient shard leases drain at the end and a successful build
-  /// re-charges the exact footprint on the main thread, so the governor's
-  /// live total — and ReleaseMemory's balance back to zero — match the
-  /// serial build. A tripped build latches the governor and returns an
-  /// empty cube with every charged byte released.
-  static ZeroGenCube BuildParallel(const Table& table,
-                                   const QuasiIdentifier& qid,
-                                   WorkerPool& pool, BuildInfo* info = nullptr,
-                                   ExecutionGovernor* governor = nullptr);
+  /// "cube.build" at the main-thread root charge). The transient shard
+  /// leases drain at the end and a successful build re-charges the exact
+  /// footprint on the main thread, so the governor's live total is the
+  /// cube's footprint until ReleaseMemory balances it back to zero. A
+  /// refused charge, a tripped deadline or a cancellation latches the
+  /// governor and returns an empty cube with every charged byte released.
+  static ZeroGenCube Build(const Table& table, const QuasiIdentifier& qid,
+                           WorkerPool* pool = nullptr,
+                           BuildInfo* info = nullptr,
+                           ExecutionGovernor* governor = nullptr);
 
   /// Releases every byte Build() charged against `governor` (call when the
   /// cube is discarded).

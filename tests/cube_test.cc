@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -44,20 +45,62 @@ void ExpectSameFrequencySet(const FrequencySet& a, const FrequencySet& b) {
   EXPECT_EQ(a.MemoryBytes(), b.MemoryBytes());
 }
 
-/// Asserts a parallel build reproduced the serial one bit for bit:
-/// every subset's frequency set and the BuildInfo totals.
-void ExpectSameCube(const ZeroGenCube& serial,
-                    const ZeroGenCube::BuildInfo& serial_info,
-                    const ZeroGenCube& parallel,
-                    const ZeroGenCube::BuildInfo& parallel_info, size_t n) {
-  EXPECT_EQ(serial.num_subsets(), parallel.num_subsets());
-  EXPECT_EQ(serial_info.num_subsets, parallel_info.num_subsets);
-  EXPECT_EQ(serial_info.total_groups, parallel_info.total_groups);
-  EXPECT_EQ(serial_info.total_bytes, parallel_info.total_bytes);
-  EXPECT_EQ(serial_info.table_scans, parallel_info.table_scans);
-  EXPECT_EQ(serial_info.projections, parallel_info.projections);
-  for (const auto& dims : AllSubsets(n)) {
-    ExpectSameFrequencySet(serial.Get(dims), parallel.Get(dims));
+/// The direct-scan oracle: every subset's zero-generalization node
+/// computed from scratch with one GROUP BY over the table, independent of
+/// the cube's projection DAG.
+struct Oracle {
+  std::vector<std::pair<std::vector<int32_t>, FrequencySet>> sets;
+  size_t total_groups = 0;
+  size_t total_bytes = 0;
+};
+
+Oracle DirectScanOracle(const Table& table, const QuasiIdentifier& qid) {
+  Oracle oracle;
+  for (const auto& dims : AllSubsets(qid.size())) {
+    SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
+    FrequencySet fs = FrequencySet::Compute(table, qid, node);
+    oracle.total_groups += fs.NumGroups();
+    oracle.total_bytes += fs.MemoryBytes();
+    oracle.sets.emplace_back(dims, std::move(fs));
+  }
+  return oracle;
+}
+
+/// Asserts a cube equals the oracle subset for subset — groups, canonical
+/// order and footprint — and that its BuildInfo has the oracle's totals:
+/// one table scan and 2^n - 2 projections.
+void ExpectMatchesOracle(const ZeroGenCube& cube,
+                         const ZeroGenCube::BuildInfo& info,
+                         const Oracle& oracle) {
+  const size_t subsets = oracle.sets.size();
+  EXPECT_EQ(cube.num_subsets(), subsets);
+  EXPECT_EQ(info.num_subsets, subsets);
+  EXPECT_EQ(info.total_groups, oracle.total_groups);
+  EXPECT_EQ(info.total_bytes, oracle.total_bytes);
+  EXPECT_EQ(info.table_scans, 1);
+  EXPECT_EQ(info.projections, static_cast<int64_t>(subsets) - 1);
+  for (const auto& [dims, direct] : oracle.sets) {
+    ExpectSameFrequencySet(cube.Get(dims), direct);
+  }
+}
+
+/// Builds the cube at a null pool and at pools of 1, 2, 4 and 8 workers
+/// and checks each against the direct-scan oracle.
+void ExpectEveryPoolMatchesOracle(const Table& table,
+                                  const QuasiIdentifier& qid) {
+  const Oracle oracle = DirectScanOracle(table, qid);
+  {
+    SCOPED_TRACE("null pool");
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube = ZeroGenCube::Build(table, qid, nullptr, &info);
+    ExpectMatchesOracle(cube, info, oracle);
+  }
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    WorkerPool pool(threads);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube = ZeroGenCube::Build(table, qid, &pool, &info);
+    ExpectMatchesOracle(cube, info, oracle);
   }
 }
 
@@ -65,7 +108,7 @@ TEST(CubeTest, PatientsCubeCoversAllSubsets) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, &info);
+  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid, nullptr, &info);
   EXPECT_EQ(cube.num_subsets(), 7u);  // 2^3 - 1
   EXPECT_EQ(info.num_subsets, 7u);
   EXPECT_EQ(info.table_scans, 1);      // only the full set scans T
@@ -74,24 +117,21 @@ TEST(CubeTest, PatientsCubeCoversAllSubsets) {
   EXPECT_GT(info.total_bytes, 0u);
 }
 
-TEST(CubeTest, SubsetsMatchDirectComputation) {
+TEST(CubeTest, EveryPoolMatchesDirectScanOnPatients) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, ds->qid);
-  // Every subset's cube entry must equal a from-scratch GROUP BY.
-  const std::vector<std::vector<int32_t>> subsets = {
-      {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
-  for (const auto& dims : subsets) {
-    const FrequencySet& from_cube = cube.Get(dims);
-    SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
-    FrequencySet direct = FrequencySet::Compute(ds->table, ds->qid, node);
-    EXPECT_EQ(from_cube.NumGroups(), direct.NumGroups());
-    EXPECT_EQ(from_cube.TotalCount(), direct.TotalCount());
-    EXPECT_EQ(from_cube.MinCount(), direct.MinCount());
-    for (int64_t k = 1; k <= 4; ++k) {
-      EXPECT_EQ(from_cube.IsKAnonymous(k), direct.IsKAnonymous(k))
-          << node.ToString();
-    }
+  ExpectEveryPoolMatchesOracle(ds->table, ds->qid);
+}
+
+TEST(CubeTest, EveryPoolMatchesDirectScanOnRandomData) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 4; ++trial) {
+    testing_util::RandomDatasetOptions opts;
+    opts.num_attrs = 4 + static_cast<size_t>(trial % 2);
+    opts.num_rows = 120;
+    testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
+    SCOPED_TRACE(trial);
+    ExpectEveryPoolMatchesOracle(ds.table, ds.qid);
   }
 }
 
@@ -108,125 +148,66 @@ TEST(CubeTest, RollupFromCubeEntryMatchesScan) {
   EXPECT_EQ(rolled.MinCount(), direct.MinCount());
 }
 
-TEST(CubeTest, RandomDataCubeMatchesDirect) {
-  Rng rng(777);
-  for (int trial = 0; trial < 5; ++trial) {
-    testing_util::RandomDatasetOptions opts;
-    opts.num_attrs = 4;
-    opts.num_rows = 120;
-    testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
-    ZeroGenCube cube = ZeroGenCube::Build(ds.table, ds.qid);
-    EXPECT_EQ(cube.num_subsets(), 15u);
-    // Check a few random subsets.
-    const std::vector<std::vector<int32_t>> subsets = {
-        {0}, {3}, {1, 2}, {0, 3}, {0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3}};
-    for (const auto& dims : subsets) {
-      SubsetNode node(dims, std::vector<int32_t>(dims.size(), 0));
-      FrequencySet direct = FrequencySet::Compute(ds.table, ds.qid, node);
-      EXPECT_EQ(cube.Get(dims).NumGroups(), direct.NumGroups());
-      EXPECT_EQ(cube.Get(dims).TuplesBelowK(2), direct.TuplesBelowK(2));
-    }
-  }
-}
-
 TEST(CubeTest, SingleAttributeQid) {
+  // n == 1: no projections, no DAG — the build is just the root scan.
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
   QuasiIdentifier qid1 = ds->qid.Prefix(1);
-  ZeroGenCube cube = ZeroGenCube::Build(ds->table, qid1);
-  EXPECT_EQ(cube.num_subsets(), 1u);
-  EXPECT_EQ(cube.Get({0}).TotalCount(), 6);
-}
-
-// ---------------------------------------------------------------------------
-// BuildParallel: the DAG-scheduled build must be bit-identical to Build.
-// ---------------------------------------------------------------------------
-
-TEST(CubeTest, BuildParallelMatchesSerialOnPatients) {
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(ds->table, ds->qid, &serial_info);
-  for (int threads : {1, 2, 4, 8}) {
-    WorkerPool pool(threads);
-    ZeroGenCube::BuildInfo info;
-    ZeroGenCube cube =
-        ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info);
-    SCOPED_TRACE(threads);
-    ExpectSameCube(serial, serial_info, cube, info, ds->qid.size());
-  }
-}
-
-TEST(CubeTest, BuildParallelMatchesSerialOnRandomData) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 3; ++trial) {
-    testing_util::RandomDatasetOptions opts;
-    opts.num_attrs = 4;
-    opts.num_rows = 120;
-    testing_util::RandomDataset ds = testing_util::MakeRandomDataset(rng, opts);
-    ZeroGenCube::BuildInfo serial_info;
-    ZeroGenCube serial = ZeroGenCube::Build(ds.table, ds.qid, &serial_info);
-    for (int threads : {2, 8}) {
-      WorkerPool pool(threads);
-      ZeroGenCube::BuildInfo info;
-      ZeroGenCube cube =
-          ZeroGenCube::BuildParallel(ds.table, ds.qid, pool, &info);
-      SCOPED_TRACE(trial * 100 + threads);
-      ExpectSameCube(serial, serial_info, cube, info, ds.qid.size());
-    }
-  }
-}
-
-TEST(CubeTest, BuildParallelSingleAttributeQid) {
-  // n == 1: no projections, no DAG — the parallel build is just the
-  // parallel root scan.
-  Result<PatientsDataset> ds = MakePatientsDataset();
-  ASSERT_TRUE(ds.ok());
-  QuasiIdentifier qid1 = ds->qid.Prefix(1);
+  ExpectEveryPoolMatchesOracle(ds->table, qid1);
   WorkerPool pool(4);
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::BuildParallel(ds->table, qid1, pool, &info);
+  ZeroGenCube cube = ZeroGenCube::Build(ds->table, qid1, &pool, &info);
   EXPECT_EQ(cube.num_subsets(), 1u);
   EXPECT_EQ(info.projections, 0);
-  EXPECT_EQ(info.table_scans, 1);
   EXPECT_EQ(cube.Get({0}).TotalCount(), 6);
 }
 
-TEST(CubeTest, GovernedBuildParallelMatchesAndBalances) {
+// ---------------------------------------------------------------------------
+// Governed builds, with no pool and across a 4-worker pool.
+// ---------------------------------------------------------------------------
+
+TEST(CubeTest, GovernedBuildMatchesAndBalances) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  ZeroGenCube::BuildInfo serial_info;
-  ZeroGenCube serial = ZeroGenCube::Build(ds->table, ds->qid, &serial_info);
-  WorkerPool pool(4);
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(int64_t{1} << 30);
-  ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube =
-      ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info, &governor);
-  ASSERT_FALSE(governor.Tripped());
-  ExpectSameCube(serial, serial_info, cube, info, ds->qid.size());
-  // The governed build charges exactly what the serial build would; the
-  // transient worker leases are gone and ReleaseMemory balances to zero.
-  EXPECT_EQ(governor.memory().used(),
-            static_cast<int64_t>(serial_info.total_bytes));
-  cube.ReleaseMemory(&governor);
-  EXPECT_EQ(governor.memory().used(), 0);
+  const Oracle oracle = DirectScanOracle(ds->table, ds->qid);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(int64_t{1} << 30);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds->table, ds->qid, pool.get(), &info, &governor);
+    ASSERT_FALSE(governor.Tripped());
+    ExpectMatchesOracle(cube, info, oracle);
+    // The governed build charges exactly the cube's footprint; the
+    // transient worker leases are gone and ReleaseMemory balances to zero.
+    EXPECT_EQ(governor.memory().used(),
+              static_cast<int64_t>(oracle.total_bytes));
+    cube.ReleaseMemory(&governor);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
-TEST(CubeTest, GovernedBuildParallelTinyBudgetTripsCleanly) {
+TEST(CubeTest, GovernedTinyBudgetTripsCleanly) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  WorkerPool pool(4);
-  ExecutionGovernor governor;
-  governor.SetMemoryLimitBytes(64);
-  ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube =
-      ZeroGenCube::BuildParallel(ds->table, ds->qid, pool, &info, &governor);
-  EXPECT_TRUE(governor.Tripped());
-  // A tripped build hands back nothing and leaks nothing.
-  EXPECT_EQ(cube.num_subsets(), 0u);
-  EXPECT_EQ(info.num_subsets, 0u);
-  EXPECT_EQ(governor.memory().used(), 0);
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 0) pool = std::make_unique<WorkerPool>(threads);
+    ExecutionGovernor governor;
+    governor.SetMemoryLimitBytes(64);
+    ZeroGenCube::BuildInfo info;
+    ZeroGenCube cube =
+        ZeroGenCube::Build(ds->table, ds->qid, pool.get(), &info, &governor);
+    EXPECT_TRUE(governor.Tripped());
+    // A tripped build hands back nothing and leaks nothing.
+    EXPECT_EQ(cube.num_subsets(), 0u);
+    EXPECT_EQ(info.num_subsets, 0u);
+    EXPECT_EQ(governor.memory().used(), 0);
+  }
 }
 
 }  // namespace

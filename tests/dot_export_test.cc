@@ -10,17 +10,20 @@ namespace {
 TEST(DotExportTest, CandidateGraphDot) {
   Result<PatientsDataset> ds = MakePatientsDataset();
   ASSERT_TRUE(ds.ok());
-  CandidateGraph c1 = MakeSingleAttributeGraph(ds->qid);
-  std::string dot = CandidateGraphToDot(c1, &ds->qid);
+  // The {Sex, Zipcode} candidate graph from the two complete chains.
+  CandidateGraph sex = MakeSingleDimensionChain(ds->qid, 1);
+  CandidateGraph zipcode = MakeSingleDimensionChain(ds->qid, 2);
+  CandidateGraph c2 = GenerateSubsetGraph({&zipcode, &sex});
+  std::string dot = CandidateGraphToDot(c2, &ds->qid);
   EXPECT_NE(dot.find("digraph candidates"), std::string::npos);
-  EXPECT_NE(dot.find("<Zipcode:2>"), std::string::npos);
-  // 7 nodes, 4 edges.
+  EXPECT_NE(dot.find("<Sex:1, Zipcode:2>"), std::string::npos);
+  // 2 · 3 = 6 nodes, 7 edges.
   size_t arrows = 0;
   for (size_t pos = dot.find("->"); pos != std::string::npos;
        pos = dot.find("->", pos + 1)) {
     ++arrows;
   }
-  EXPECT_EQ(arrows, 4u);
+  EXPECT_EQ(arrows, 7u);
 }
 
 TEST(DotExportTest, HighlightMarksSurvivors) {

@@ -30,6 +30,8 @@
 #include "core/incognito.h"
 #include "core/run_context.h"
 #include "data/adults.h"
+#include "freq/cube.h"
+#include "obs/counters.h"
 #include "robust/checkpoint.h"
 #include "robust/governor.h"
 #include "robust/partial_result.h"
@@ -555,6 +557,29 @@ TEST(WideQidTest, ResumeFromMidRunCheckpointMatchesFreshRun) {
     EXPECT_EQ(resumed->stats.restored_iterations, kDoneLevels);
   }
   std::remove(path.c_str());
+}
+
+TEST(WideQidTest, CubeOverMaxAttributesIsInvalidArgumentBeforeAnyScan) {
+  // The cube would hold 2^25 - 1 frequency sets, so Cube Incognito refuses
+  // the QID before touching the table. The 1-byte budget is a backstop:
+  // were the run not refused, the root scan would trip it long before the
+  // cube grew.
+  RandomDataset data =
+      testing_util::MakeWideQidDataset(ZeroGenCube::kMaxAttributes + 1);
+  IncognitoOptions options;
+  options.variant = IncognitoVariant::kCube;
+  ExecutionGovernor governor;
+  const obs::MetricsSnapshot before = obs::MetricsSnapshot::Take();
+  PartialResult<IncognitoResult> run =
+      RunIncognito(data.table, data.qid, WideConfig(), options,
+                   RunContext::Governed(governor).WithMemoryBudget(1));
+  const obs::MetricsSnapshot delta =
+      obs::MetricsSnapshot::Take().DeltaSince(before);
+  ASSERT_TRUE(run.hard_error());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(delta.counters.count("freq.scans"), 0u);
+  EXPECT_EQ(delta.counters.count("cube.builds"), 0u);
+  EXPECT_EQ(governor.memory().peak(), 0);
 }
 
 TEST(WideQidTest, MoreThan64AttributesIsInvalidArgument) {

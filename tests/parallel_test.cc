@@ -347,9 +347,9 @@ TEST(ParallelIncognitoTest, ShardBudgetTripYieldsSoundPrefixAndBoundedPeaks) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: pool-wide FrequencySet::ComputeBatch scans and
-// ZeroGenCube::BuildParallel == their serial twins, bit for bit, on every
-// fixture dataset.
+// Differential: pool-wide FrequencySet::ComputeBatch scans == the
+// single-threaded scan, bit for bit, on every fixture dataset (cube_test
+// sweeps the cube build's pool sizes against a direct-scan oracle).
 // ---------------------------------------------------------------------------
 
 using GroupList = std::vector<std::pair<std::vector<int32_t>, int64_t>>;
@@ -564,8 +564,8 @@ TEST(ParallelFaultTest, CubeProjectFaultYieldsEmptyCubeAndBalances) {
   WorkerPool pool(4);
   ExecutionGovernor governor;
   ZeroGenCube::BuildInfo info;
-  ZeroGenCube cube = ZeroGenCube::BuildParallel(data.table, data.qid, pool,
-                                                &info, &governor);
+  ZeroGenCube cube =
+      ZeroGenCube::Build(data.table, data.qid, &pool, &info, &governor);
   EXPECT_EQ(FaultInjector::Global().FaultsFired(), 1);
   EXPECT_TRUE(governor.Tripped());
   EXPECT_EQ(cube.num_subsets(), 0u);

@@ -632,25 +632,19 @@ int CmdCheck(const std::map<std::string, std::string>& args,
   if (!run_opts.ok()) return Fail(run_opts.status());
   AnonymizationConfig config = ConfigFrom(args);
 
+  // A single-node check has no meaningful partial answer, so a budget
+  // trip always fails here regardless of --on-budget.
   AlgorithmStats stats;
-  bool ok;
-  if (gov->enabled()) {
-    // A single-node check has no meaningful partial answer, so a budget
-    // trip always fails here regardless of --on-budget.
-    ExecutionGovernor governor;
-    Result<bool> governed =
-        IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                     gov->MakeContext(&governor), &stats);
-    obs->RecordGovernorPeak(governor);
-    if (!governed.ok()) {
-      obs->RecordStats(stats);
-      return Fail(governed.status());
-    }
-    ok = governed.value();
-  } else {
-    ok = IsKAnonymous(problem->table, problem->qid, node.value(), config,
-                      &stats, gov->profile.num_threads);
+  ExecutionGovernor governor;
+  Result<bool> checked =
+      IsKAnonymous(problem->table, problem->qid, node.value(), config,
+                   gov->MakeContext(&governor), &stats);
+  if (gov->enabled()) obs->RecordGovernorPeak(governor);
+  if (!checked.ok()) {
+    obs->RecordStats(stats);
+    return Fail(checked.status());
   }
+  bool ok = checked.value();
   printf("%s at %s: %lld-anonymous = %s\n", Get(args, "input").c_str(),
          node->ToString(&problem->qid).c_str(),
          static_cast<long long>(config.k), ok ? "yes" : "NO");
